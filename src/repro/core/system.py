@@ -173,7 +173,6 @@ class ScalableTCCSystem:
             jitter=config.network_jitter,
             seed=config.seed,
             link_contention=config.link_contention,
-            jitter_source=config.network_jitter_source,
         )
         if config.first_touch:
             self.mapping = FirstTouchMapping(
@@ -318,7 +317,9 @@ class ScalableTCCSystem:
                 f"processors {unfinished} unfinished at cycle {self.engine.now} "
                 f"(queue {'empty: deadlock' if self.engine.peek() is None else 'active: timeout'})"
             )
-        run_cycles = self.engine.now
+        # Not ``engine.now``: an armed watchdog keeps ticking, and hardened
+        # retry timers expire idle, after the last processor finished.
+        run_cycles = max(p.finished_at for p in self.processors)
 
         self.vendor.check_all_resolved()
         from repro.verify.invariants import check_system_invariants

@@ -1,10 +1,11 @@
 """The Scalable TCC directory controller.
 
 One controller per node, serving the node's slice of physical memory.
-All protocol messages for the slice funnel through a single FIFO serve
-loop (modelling directory-cache occupancy, 10 cycles per message); memory
-reads for load fills are overlapped — the controller snapshots state and
-schedules the reply ``memory_latency`` cycles later without blocking.
+All protocol messages for the slice funnel through a single FIFO
+occupancy server (modelling directory-cache occupancy, 10 cycles per
+message); memory reads for load fills are overlapped — the controller
+snapshots state and schedules the reply ``memory_latency`` cycles later
+without blocking.
 
 Responsibilities (Sections 2.2 and 3 of the paper):
 
@@ -25,7 +26,7 @@ Responsibilities (Sections 2.2 and 3 of the paper):
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -55,7 +56,7 @@ from repro.directory.state import DirectoryState
 from repro.memory.address import AddressMap
 from repro.memory.mainmem import MainMemory
 from repro.network.interconnect import Interconnect
-from repro.sim import Engine, Process, Store, Timeout
+from repro.sim import Engine
 
 
 class ProtocolError(RuntimeError):
@@ -155,7 +156,10 @@ class DirectoryController:
         self.state = DirectoryState()
         self.stats = DirectoryStats()
 
-        self._queue: Store = Store(engine, name=f"dir{node}.queue")
+        # Occupancy server: messages waiting behind the one in service.
+        self._queue: deque = deque()
+        self._idle = True
+        self._service = 0  # cycles the message in service occupies
         self._pending_probes: List[ProbeRequest] = []
         self._stalled_loads: Dict[int, List[LoadRequest]] = defaultdict(list)
         self._pending_forwards: Dict[int, List[LoadRequest]] = defaultdict(list)
@@ -197,7 +201,7 @@ class DirectoryController:
         #: ``config.event_log`` is enabled).
         self.event_log = None
 
-        self.process = Process(engine, self._serve(), name=f"dir{node}")
+        self._serve()
 
     # ------------------------------------------------------------------
     # ingress
@@ -205,18 +209,30 @@ class DirectoryController:
 
     def deliver(self, msg: Any) -> None:
         """Entry point: the node router drops directory messages here."""
-        self._queue.put(msg)
+        self._enqueue(msg)
 
     @property
     def nstid(self) -> int:
         return self.skipvec.nstid
 
     # ------------------------------------------------------------------
-    # serve loop
+    # occupancy server
     # ------------------------------------------------------------------
+    #
+    # One message at a time holds the controller for ``directory_latency``
+    # cycles plus any directory-cache penalty; the rest wait FIFO.  Each
+    # message costs three engine calls: a zero-delay hop into service, the
+    # service timer, and a zero-delay hop into its handler.  The hops do
+    # no work; they keep the (cycle, seq) order of the generator process
+    # this server replaced, which the pinned fingerprints depend on.
 
-    def _serve(self):
-        dispatch = {
+    def _serve(self) -> None:
+        """Bind the dispatch table: message type -> handler.
+
+        ``repro lint`` (proto-handler-coverage) reads the table from a
+        function of this name.
+        """
+        self._handlers = {
             LoadRequest: self._handle_load,
             SkipMsg: self._handle_skip,
             ProbeRequest: self._handle_probe,
@@ -227,24 +243,52 @@ class DirectoryController:
             WriteBackMsg: self._handle_writeback,
             TokenWrite: self._handle_token_write,
         }
-        latency = self.config.directory_latency
-        while True:
-            msg = yield self._queue.get()
-            injector = self.fault_injector
-            if injector is not None and injector.has_dir_stalls:
-                pause = injector.dir_stall_pause(self.node, self.engine.now)
-                if pause:
-                    # Node fault: the controller goes dark until the
-                    # window ends; queued messages wait it out.
-                    yield Timeout(self.engine, pause)
-            service = latency + self._dir_cache_penalty(msg)
-            if service:
-                yield Timeout(self.engine, service)
-                self.stats.busy_cycles += service
-            handler = dispatch.get(type(msg))
-            if handler is None:
-                raise ProtocolError(f"directory {self.node} got unknown message {msg!r}")
-            handler(msg)
+
+    def _enqueue(self, msg: Any) -> None:
+        if self._idle:
+            self._idle = False
+            self.engine.schedule_call(0, self._start, msg)
+        else:
+            self._queue.append(msg)
+
+    def _start(self, msg: Any) -> None:
+        injector = self.fault_injector
+        if injector is not None and injector.has_dir_stalls:
+            pause = injector.dir_stall_pause(self.node, self.engine.now)
+            if pause:
+                # Node fault: the controller goes dark until the window
+                # ends; queued messages wait it out.
+                self.engine.schedule_call(pause, self._stall_over, msg)
+                return
+        self._occupy(msg)
+
+    def _stall_over(self, msg: Any) -> None:
+        self.engine.schedule_call(0, self._occupy, msg)
+
+    def _occupy(self, msg: Any) -> None:
+        service = self.config.directory_latency + self._dir_cache_penalty(msg)
+        if not service:
+            self._dispatch(msg)
+            return
+        self._service = service
+        self.engine.schedule_call(service, self._service_over, msg)
+
+    def _service_over(self, msg: Any) -> None:
+        self.engine.schedule_call(0, self._finish, msg)
+
+    def _finish(self, msg: Any) -> None:
+        self.stats.busy_cycles += self._service
+        self._dispatch(msg)
+
+    def _dispatch(self, msg: Any) -> None:
+        handler = self._handlers.get(type(msg))
+        if handler is None:
+            raise ProtocolError(f"directory {self.node} got unknown message {msg!r}")
+        handler(msg)
+        if self._queue:
+            self.engine.schedule_call(0, self._start, self._queue.popleft())
+        else:
+            self._idle = True
 
     def _dir_cache_penalty(self, msg: Any) -> int:
         """Extra cycles to fetch uncached directory entries from memory.
@@ -321,7 +365,7 @@ class DirectoryController:
         entry.sharers.add(msg.requester)
         data = self.memory.read_line(msg.line)
         self.stats.loads_served += 1
-        # Memory access proceeds off the critical serve loop.
+        # Memory access proceeds off the occupancy server.
         self._send(
             msg.requester,
             LoadReply(msg.line, data, msg.seq),
@@ -785,9 +829,9 @@ class DirectoryController:
         for line in released_lines:
             waiting = self._stalled_loads.pop(line)
             for load in waiting:
-                # Re-enqueue through the serve loop so each released load
-                # pays directory occupancy again.
-                self._queue.put(load)
+                # Re-enqueue behind the queued messages so each released
+                # load pays directory occupancy again.
+                self._enqueue(load)
 
     # ------------------------------------------------------------------
     # end-of-run checks

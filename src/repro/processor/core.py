@@ -121,6 +121,7 @@ class TCCProcessor:
         self.commit_acks: set[int] = set()
 
         self.finished = False
+        self.finished_at = 0  # cycle at which the schedule ran out
         self.event_log = system.events if hasattr(system, "events") else None
 
         from repro.baseline.token import TokenCommitEngine
@@ -424,6 +425,7 @@ class TCCProcessor:
                 yield from self._execute(item)
         yield from self._flush_local()
         self.finished = True
+        self.finished_at = self.engine.now
         return self.stats
 
     def _flush_local(self):

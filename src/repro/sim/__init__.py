@@ -1,12 +1,15 @@
 """Discrete-event simulation kernel.
 
-A minimal, dependency-free process/event simulator in the style of SimPy,
-sized for architectural simulation: an :class:`~repro.sim.engine.Engine`
-owns the event queue and the clock (measured in CPU cycles); coroutine
-:class:`~repro.sim.process.Process` objects model hardware agents
-(processors, directory controllers); :mod:`repro.sim.resources` provides
-the synchronization primitives the protocol model needs (FIFO servers for
-occupancy modelling, barriers for the workloads' barrier structure).
+A minimal, dependency-free event simulator sized for architectural
+simulation: an :class:`~repro.sim.engine.Engine` owns the event queue
+and the clock (measured in CPU cycles) and runs plain callbacks;
+coroutine :class:`~repro.sim.process.Process` objects model the
+processors, which wait on :class:`Event` / :class:`Timeout` objects;
+:mod:`repro.sim.resources` provides the two synchronization primitives
+the model needs (the token baseline's FIFO :class:`Resource` and the
+workloads' :class:`Barrier`).  Directory controllers need no coroutine:
+each is a callback-driven occupancy server scheduled directly on the
+engine.
 
 Everything in :mod:`repro` runs on this kernel, so its semantics are the
 semantics of the whole simulator:
@@ -21,18 +24,15 @@ semantics of the whole simulator:
 """
 
 from repro.sim.engine import Engine
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
-from repro.sim.resources import Barrier, Resource, Store
+from repro.sim.resources import Barrier, Resource
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Barrier",
     "Engine",
     "Event",
     "Process",
     "Resource",
-    "Store",
     "Timeout",
 ]

@@ -13,6 +13,8 @@ import pytest
 from repro.core import messages as m
 from repro.core.config import SystemConfig
 from repro.directory.controller import DirectoryController, ProtocolError
+from repro.faults import FaultPlan, NodeFault
+from repro.faults.injector import FaultInjector
 from repro.memory import AddressMap, MainMemory
 from repro.network import Interconnect
 from repro.sim import Engine
@@ -337,6 +339,59 @@ def test_quiescent_check_passes_when_clean(rig):
     rig.send(1, m.SkipMsg(tid=1))
     rig.run()
     rig.dir.quiescent_check()
+
+
+# ----------------------------------------------------------------------
+# occupancy server: one message at a time, directory_latency each
+# ----------------------------------------------------------------------
+
+def test_same_cycle_messages_served_fifo_latency_apart(rig):
+    latency = rig.config.directory_latency
+    for tid in (1, 2, 3):
+        rig.dir.deliver(m.SkipMsg(tid=tid))
+    for served in (1, 2, 3):
+        rig.engine.run(until=served * latency - 1)
+        assert rig.dir.stats.skips_processed == served - 1
+        rig.engine.run(until=served * latency)
+        assert rig.dir.stats.skips_processed == served
+        # Skips in delivery order each advance the NSTID at once; any
+        # other order would leave a gap.
+        assert rig.dir.nstid == served + 1
+    assert rig.dir.stats.busy_cycles == 3 * latency
+
+
+def test_dir_stall_window_holds_queued_messages():
+    rig = Rig()
+    plan = FaultPlan(node_faults=(NodeFault("dir_stall", 0, 0, 50),))
+    rig.dir.fault_injector = FaultInjector(plan, 4)
+    latency = rig.config.directory_latency
+    rig.dir.deliver(m.SkipMsg(tid=1))
+    rig.dir.deliver(m.SkipMsg(tid=2))
+    rig.engine.run(until=50 + latency - 1)
+    assert rig.dir.stats.skips_processed == 0
+    rig.engine.run(until=50 + latency)
+    assert rig.dir.stats.skips_processed == 1
+    rig.engine.run(until=50 + 2 * latency)
+    assert rig.dir.stats.skips_processed == 2
+    # The dark window is a stall, not occupancy.
+    assert rig.dir.stats.busy_cycles == 2 * latency
+    assert rig.dir.fault_injector.stats.dir_stall_cycles == 50
+
+
+def test_released_stalled_load_pays_occupancy_again(rig):
+    latency = rig.config.directory_latency
+    rig.dir.deliver(m.MarkMsg(committer=1, tid=1, lines={5: 0b1}))
+    rig.dir.deliver(m.LoadRequest(requester=2, line=5, seq=7))
+    rig.dir.deliver(m.AbortMsg(committer=1, tid=1))
+    rig.engine.run(until=3 * latency)
+    assert rig.dir.stats.loads_stalled == 1
+    assert rig.dir.stats.aborts_served == 1
+    assert rig.dir.stats.loads_served == 0
+    rig.engine.run(until=4 * latency)
+    assert rig.dir.stats.loads_served == 1
+    assert rig.dir.stats.busy_cycles == 4 * latency
+    rig.run()
+    assert len(rig.of_type(2, m.LoadReply)) == 1
 
 
 # ----------------------------------------------------------------------

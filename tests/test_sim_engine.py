@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Engine
-from repro.sim.engine import SimulationError, ensure_engine
+from repro.sim.engine import SimulationError
 
 
 def test_time_starts_at_zero():
@@ -148,44 +148,3 @@ def test_schedule_many_zero_delay_interleaves_with_schedule():
     engine.schedule(1, kickoff)
     engine.run()
     assert order == ["m1", "m2", "s"]
-
-
-def test_calendar_horizon_matches_default_engine():
-    def trace(engine):
-        order = []
-        engine.schedule(9, lambda: order.append((engine.now, "far")))
-        engine.schedule(1, lambda: engine.schedule(2, lambda: order.append((engine.now, "nested"))))
-        for label in ("a", "b"):
-            engine.schedule(3, lambda lab=label: order.append((engine.now, lab)))
-        engine.schedule(0, lambda: order.append((engine.now, "zero")))
-        engine.run()
-        return order, engine.now, engine.events_executed
-
-    assert trace(Engine(calendar_horizon=8)) == trace(Engine())
-
-
-def test_calendar_horizon_peek_and_until():
-    engine = Engine(calendar_horizon=16)
-    fired = []
-    engine.schedule(5, lambda: fired.append("near"))
-    engine.schedule(40, lambda: fired.append("beyond-horizon"))
-    assert engine.peek() == 5
-    engine.run(until=20)
-    assert fired == ["near"]
-    assert engine.now == 20
-    engine.run()
-    assert fired == ["near", "beyond-horizon"]
-    assert engine.now == 40
-
-
-def test_ensure_engine_accepts_engine_and_wrapper():
-    engine = Engine()
-    assert ensure_engine(engine) is engine
-
-    class Holder:
-        def __init__(self, eng):
-            self.engine = eng
-
-    assert ensure_engine(Holder(engine)) is engine
-    with pytest.raises(TypeError):
-        ensure_engine(object())

@@ -125,3 +125,19 @@ def test_livelock_reported_once_per_episode():
     proc._consecutive_violations = 20  # ...and livelocked again
     watchdog._check_livelock()
     assert stats.livelock_episodes == 2
+
+
+def test_armed_watchdog_does_not_pad_reported_cycles():
+    # The watchdog keeps ticking until its first tick after the last
+    # processor finished; the reported run length must still be the
+    # finish cycle, exactly as with the watchdog off.
+    def run(watchdog):
+        config = SystemConfig(n_processors=4, watchdog=watchdog,
+                              watchdog_interval=1_000)
+        return ScalableTCCSystem(config).run(HotCounter(), verify=True)
+
+    plain, watched = run(False), run(True)
+    finish = max(s.total_cycles for s in watched.proc_stats)
+    assert finish % 1_000  # a tick past the finish would show
+    assert watched.cycles == plain.cycles == finish
+    assert watched.breakdown() == plain.breakdown()
