@@ -15,10 +15,18 @@ cache (default root ``.repro_cache/``, override with
 
 import os
 
+from repro.runner import resolve_jobs
+
 
 def bench_jobs() -> int:
-    value = int(os.environ.get("REPRO_JOBS", "0"))
-    return value if value > 0 else (os.cpu_count() or 1)
+    """``REPRO_JOBS`` by ``--jobs``'s rules (:func:`resolve_jobs`):
+    unset or 0 means all cores, below 0 is an error."""
+    text = os.environ.get("REPRO_JOBS", "0")
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise ValueError(f"REPRO_JOBS must be an integer, got {text!r}") from None
+    return resolve_jobs(jobs)
 
 
 def bench_cache() -> bool:

@@ -17,7 +17,6 @@ from repro.analysis.experiments import (
     run_latency_sweep,
     run_scaling,
 )
-from repro.analysis.perf import run_perf
 from repro.analysis.report import render_report
 from repro.analysis.sweep import Sweep, SweepPoint
 
@@ -31,6 +30,5 @@ __all__ = [
     "run_app",
     "run_apps",
     "run_latency_sweep",
-    "run_perf",
     "run_scaling",
 ]

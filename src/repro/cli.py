@@ -14,7 +14,7 @@ Usage (also ``python -m repro <command>``):
     python -m repro conform --cases 500 --seed 0 [--faults] [--jobs 4]
     python -m repro lint [--format json] [--baseline FILE]
 
-Multi-run commands (``sweep``, ``chaos``, ``perf``) fan their
+Multi-run commands (``sweep``, ``chaos``, ``conform``) fan their
 independent runs out over worker processes (``--jobs``, default: all
 cores) and memoize results in the content-addressed cache under
 ``.repro_cache/`` (``--no-cache`` to bypass); results are bit-identical
@@ -78,19 +78,17 @@ def _grid_axis(text: str):
     return key, parsed
 
 
-def _add_runner_args(parser: argparse.ArgumentParser,
-                     with_cache: bool = True) -> None:
+def _add_runner_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes (default: all cores; "
                              "1 = in-process, no pickling)")
-    if with_cache:
-        parser.add_argument("--no-cache", action="store_true",
-                            help="bypass the on-disk result cache")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="bypass the on-disk result cache")
 
 
 def _cache_from(args):
     """--no-cache -> None (bypass); otherwise the default on-disk cache."""
-    return None if getattr(args, "no_cache", False) else True
+    return None if args.no_cache else True
 
 
 def _add_machine_args(parser: argparse.ArgumentParser) -> None:
@@ -234,40 +232,6 @@ def cmd_latency(args) -> int:
         for lat, result in results.items()
     ]
     print(format_table(["link latency", "cycles", "slowdown"], rows))
-    return 0
-
-
-def cmd_perf(args) -> int:
-    from repro.analysis.perf import (
-        QUICK_APPS,
-        format_report,
-        run_perf,
-        save_report,
-    )
-
-    if args.apps:
-        for app in args.apps:
-            _check_app(app)
-
-    def pick(value, default):
-        return default if value is None else value
-
-    if args.quick:
-        report = run_perf(apps=args.apps or list(QUICK_APPS),
-                          n_processors=pick(args.processors, 8),
-                          scale=pick(args.perf_scale, 0.25),
-                          repeats=pick(args.repeats, 1), warmup=0,
-                          jobs=args.jobs)
-    else:
-        report = run_perf(apps=args.apps or None,
-                          n_processors=pick(args.processors, 32),
-                          scale=pick(args.perf_scale, 1.0),
-                          repeats=pick(args.repeats, 3),
-                          jobs=args.jobs)
-    print(format_report(report))
-    if args.out:
-        save_report(report, args.out)
-        print(f"\nreport written to {args.out}")
     return 0
 
 
@@ -533,25 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true",
                    help="also list suppressed and baselined findings")
     p.set_defaults(func=cmd_lint)
-
-    p = sub.add_parser(
-        "perf",
-        help="wall-clock kernel benchmark (events/sec; Fig. 7 @ 32 CPUs)",
-    )
-    p.add_argument("--quick", action="store_true",
-                   help="seconds-long smoke: 3 apps @ 8 CPUs, scale 0.25")
-    p.add_argument("--apps", type=lambda t: [a for a in t.split(",") if a],
-                   default=None, help="comma-separated app subset")
-    p.add_argument("-n", "--processors", type=int, default=None,
-                   help="processor count (default 32, quick: 8)")
-    p.add_argument("--scale", dest="perf_scale", type=float, default=None,
-                   help="workload volume (default 1.0, quick: 0.25)")
-    p.add_argument("--repeats", type=int, default=None,
-                   help="timed repeats per app (default 3, quick: 1)")
-    p.add_argument("--out", metavar="FILE", default=None,
-                   help="write the JSON report to FILE (e.g. BENCH_kernel.json)")
-    _add_runner_args(p, with_cache=False)
-    p.set_defaults(func=cmd_perf)
 
     return parser
 

@@ -254,9 +254,10 @@ def run_chaos(
     out over the :mod:`repro.runner` process pool and ``cache``
     memoizes case outcomes on disk — a warm re-run of an unchanged
     campaign replays from cache in milliseconds (cached cases report
-    ``wall_seconds`` 0).  A crashed worker is retried on a fresh
-    process and then quarantined as an ``error`` case rather than
-    killing the campaign.
+    ``wall_seconds`` 0).  A case that crashes its worker is re-run
+    alone in a fresh one-worker pool, then quarantined as an ``error``
+    case rather than killing the campaign; the cases lost with the
+    broken pool complete normally.
 
     The report carries the summary, the failures, and the runner/cache
     accounting; the full per-case ``results`` list (25k lines of JSON

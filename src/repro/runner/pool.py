@@ -6,28 +6,26 @@ address hits, otherwise by executing it — and returns outcomes in spec
 order plus a :class:`RunnerStats` accounting.  With ``jobs=1`` (the
 library default) everything runs in-process with no pickling, so
 breakpoints, profilers, and exception tracebacks behave exactly as in a
-plain loop.  With ``jobs > 1`` a pool of worker processes executes jobs
-concurrently; because every job is a pure function of its spec, the
-outcome list is bit-identical to the serial one regardless of
+plain loop.  With ``jobs > 1`` a ``concurrent.futures`` process pool
+executes jobs concurrently; because every job is a pure function of its
+spec, the outcome list is bit-identical to the serial one regardless of
 scheduling.
 
 Failure containment, not propagation: a Python exception inside a job
 is deterministic (retrying cannot help) and becomes an ``error``
-outcome immediately; a *worker crash* (segfault, OOM kill) is requeued
-onto a fresh worker up to ``crash_retries`` times and then quarantined
-as an error outcome — a single bad job can never kill a campaign.
-Parents detect crashes by liveness-checking workers, each of which owns
-a private task queue so the parent always knows which job died with it.
+outcome immediately.  A *worker crash* (segfault, OOM kill) breaks the
+whole pool, so every job that got no result is re-run alone in a fresh
+one-worker pool: a job that breaks its own pool is retried up to
+``crash_retries`` times and then quarantined as an error outcome, and
+the jobs it took down with it complete normally — a single bad job can
+never kill a campaign.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import queue as queue_module
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import SystemConfig
@@ -37,10 +35,6 @@ from repro.runner.spec import JobSpec, build_workload
 from repro.runner.summary import ResultSummary
 
 CacheLike = Union[None, bool, str, ResultCache]
-
-#: How long the parent waits on the result queue before checking worker
-#: liveness.  Purely a crash-detection latency knob.
-_POLL_SECONDS = 0.1
 
 
 # -- job execution (runs inside workers, and in-process at jobs=1) --------
@@ -66,8 +60,6 @@ def execute_job(spec: JobSpec) -> Dict[str, Any]:
 
         case = make_conform_case(spec.seed, **(spec.workload_args or {}))
         return {"case": run_conform_case(case).as_dict()}
-    if spec.kind == "perf":
-        return _execute_perf(spec)
     raise ValueError(f"unknown job kind {spec.kind!r}")
 
 
@@ -80,36 +72,20 @@ def _execute_sim(spec: JobSpec) -> Dict[str, Any]:
     return {"summary": ResultSummary.from_result(result).to_dict()}
 
 
-def _execute_perf(spec: JobSpec) -> Dict[str, Any]:
-    """``warmup`` untimed + ``repeats`` timed passes of one application;
-    repeats must be simulation-identical (the standing nondeterminism
-    tripwire of the perf harness)."""
-    config = spec.config or SystemConfig()
-    args = dict(spec.workload_args or {})
-
-    def one_pass() -> Tuple[float, ResultSummary]:
-        system = ScalableTCCSystem(config)
-        workload = build_workload("app", config,
-                                  {"name": spec.workload, **args})
-        start = time.perf_counter()
-        result = system.run(workload, max_cycles=spec.max_cycles,
-                            verify=spec.verify)
-        return time.perf_counter() - start, ResultSummary.from_result(result)
-
-    for _ in range(spec.warmup):
-        one_pass()
-    samples = [one_pass() for _ in range(max(1, spec.repeats))]
-    first = samples[0][1]
-    for _, summary in samples[1:]:
-        if summary.fingerprint() != first.fingerprint():
-            raise RuntimeError(
-                f"nondeterministic run: {spec.workload} repeats disagree "
-                f"(cycles {summary.cycles} != {first.cycles} or other fields)"
-            )
-    return {
-        "wall_samples_s": [wall for wall, _ in samples],
-        "summary": first.to_dict(),
-    }
+def _timed_job(
+    spec: JobSpec,
+) -> Tuple[Optional[Dict[str, Any]], Optional[str], float]:
+    """``(payload, error, seconds)`` for one job, in this process.  A
+    Python exception is a deterministic failure, not a crash: it comes
+    back as one-line error text instead of propagating."""
+    start = time.perf_counter()
+    try:
+        payload = execute_job(spec)
+    except Exception as exc:
+        text = str(exc).splitlines()[0] if str(exc) else ""
+        return (None, f"{type(exc).__name__}: {text}",
+                time.perf_counter() - start)
+    return payload, None, time.perf_counter() - start
 
 
 # -- outcomes and accounting ----------------------------------------------
@@ -132,7 +108,7 @@ class JobOutcome:
         return self.error is None
 
     def summary(self) -> ResultSummary:
-        """The ResultSummary of a ``sim``/``perf`` payload."""
+        """The ResultSummary of a ``sim`` payload."""
         if not self.ok:
             raise RuntimeError(
                 f"job {self.spec.describe()} failed: {self.error}"
@@ -214,29 +190,6 @@ def as_cache(cache: CacheLike) -> Optional[ResultCache]:
 # -- the pool --------------------------------------------------------------
 
 
-def _worker_main(worker_id: int, task_queue, result_queue) -> None:
-    """Worker loop: take (index, spec) until the None sentinel."""
-    while True:
-        try:
-            item = task_queue.get()
-        except (EOFError, OSError, KeyboardInterrupt):
-            break
-        if item is None:
-            break
-        index, spec = item
-        start = time.perf_counter()
-        try:
-            payload = execute_job(spec)
-        except Exception as exc:  # deterministic job failure, not a crash
-            text = str(exc).splitlines()[0] if str(exc) else ""
-            result_queue.put(("fail", worker_id, index,
-                              f"{type(exc).__name__}: {text}",
-                              time.perf_counter() - start))
-        else:
-            result_queue.put(("done", worker_id, index, payload,
-                              time.perf_counter() - start))
-
-
 def run_jobs(
     specs: Sequence[JobSpec],
     jobs: Optional[int] = 1,
@@ -264,7 +217,7 @@ def run_jobs(
         outcomes[outcome.index] = outcome
         spec = outcome.spec
         if (outcome.ok and not outcome.cached and cache_obj is not None
-                and spec.cacheable and spec.kind != "perf"):
+                and spec.cacheable):
             cache_obj.put(spec.key(), outcome.payload)
         if progress is not None:
             progress(outcome)
@@ -272,7 +225,7 @@ def run_jobs(
     to_run: List[int] = []
     for i, spec in enumerate(specs):
         payload = None
-        if cache_obj is not None and spec.cacheable and spec.kind != "perf":
+        if cache_obj is not None and spec.cacheable:
             payload = cache_obj.get(spec.key())
         if payload is not None:
             stats.from_cache += 1
@@ -284,19 +237,9 @@ def run_jobs(
     if to_run:
         if n_workers == 1 or len(to_run) == 1:
             for i in to_run:
-                start = time.perf_counter()
-                try:
-                    payload = execute_job(specs[i])
-                except Exception as exc:
-                    text = str(exc).splitlines()[0] if str(exc) else ""
-                    finish(JobOutcome(
-                        i, specs[i],
-                        error=f"{type(exc).__name__}: {text}",
-                        wall_s=time.perf_counter() - start,
-                    ))
-                else:
-                    finish(JobOutcome(i, specs[i], payload=payload,
-                                      wall_s=time.perf_counter() - start))
+                payload, error, wall = _timed_job(specs[i])
+                finish(JobOutcome(i, specs[i], payload=payload, error=error,
+                                  wall_s=wall))
         else:
             _run_parallel(specs, to_run, n_workers, finish, stats,
                           crash_retries)
@@ -323,97 +266,61 @@ def _run_parallel(
     stats: RunnerStats,
     crash_retries: int,
 ) -> None:
-    methods = multiprocessing.get_all_start_methods()
+    # Imported here so that a serial run never pays for them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    # Explicit, never the interpreter's default: factories registered at
+    # runtime reach the workers only through fork.
     ctx = multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
+        "fork" if "fork" in multiprocessing.get_all_start_methods()
+        else "spawn"
     )
-    result_queue = ctx.Queue()
-    pending = deque(to_run)
-    attempts: Dict[int, int] = {}
-    unresolved = set(to_run)
-    workers: List[Dict[str, Any]] = []
-    next_id = 0
-
-    def spawn() -> None:
-        nonlocal next_id
-        task_queue = ctx.Queue()
-        proc = ctx.Process(
-            target=_worker_main, args=(next_id, task_queue, result_queue),
-            daemon=True,
-        )
-        proc.start()
-        workers.append({"id": next_id, "proc": proc, "queue": task_queue,
-                        "current": None})
-        next_id += 1
-
-    for _ in range(min(n_workers, len(pending))):
-        spawn()
-
+    lost: List[int] = []
+    pool = ProcessPoolExecutor(min(n_workers, len(to_run)), mp_context=ctx)
     try:
-        while unresolved:
-            for worker in workers:
-                if worker["current"] is None and pending:
-                    index = pending.popleft()
-                    worker["current"] = index
-                    worker["queue"].put((index, specs[index]))
-
+        futures = {pool.submit(_timed_job, specs[i]): i for i in to_run}
+        for future in as_completed(futures):
+            index = futures[future]
             try:
-                kind, worker_id, index, body, wall = result_queue.get(
-                    timeout=_POLL_SECONDS
-                )
-            except queue_module.Empty:
-                pass
-            else:
-                for worker in workers:
-                    if worker["id"] == worker_id:
-                        worker["current"] = None
-                if index in unresolved:
-                    unresolved.discard(index)
-                    tries = attempts.get(index, 0) + 1
-                    if kind == "done":
-                        finish(JobOutcome(index, specs[index], payload=body,
-                                          attempts=tries, wall_s=wall))
-                    else:
-                        finish(JobOutcome(index, specs[index], error=body,
-                                          attempts=tries, wall_s=wall))
+                payload, error, wall = future.result()
+            except BrokenProcessPool:
+                lost.append(index)
                 continue
-
-            # No result within the poll window: check worker liveness.
-            for worker in list(workers):
-                if worker["proc"].is_alive():
-                    continue
-                workers.remove(worker)
-                index = worker["current"]
-                if index is None or index not in unresolved:
-                    continue
-                stats.crashes += 1
-                attempts[index] = attempts.get(index, 0) + 1
-                if attempts[index] <= crash_retries:
-                    stats.retried += 1
-                    pending.append(index)
-                else:
-                    stats.quarantined += 1
-                    unresolved.discard(index)
-                    code = worker["proc"].exitcode
-                    finish(JobOutcome(
-                        index, specs[index],
-                        error=f"worker crashed (exit code {code}); "
-                              f"quarantined after {attempts[index]} attempts",
-                        attempts=attempts[index],
-                    ))
-            # Keep enough workers alive to drain the (possibly refilled)
-            # pending queue.
-            while pending and len(workers) < n_workers:
-                spawn()
+            finish(JobOutcome(index, specs[index], payload=payload,
+                              error=error, wall_s=wall))
     finally:
-        for worker in workers:
+        pool.shutdown(cancel_futures=True)
+
+    # A crash breaks the shared pool and takes every unfinished job down
+    # with it.  Run each alone to find the culprit: only a job that
+    # breaks its own pool counts as a crash.
+    def run_alone(spec: JobSpec):
+        with ProcessPoolExecutor(1, mp_context=ctx) as solo:
             try:
-                worker["queue"].put(None)
-            except (OSError, ValueError):
-                pass
-        deadline = time.monotonic() + 2.0
-        for worker in workers:
-            worker["proc"].join(timeout=max(0.0, deadline - time.monotonic()))
-            if worker["proc"].is_alive():
-                worker["proc"].terminate()
-        result_queue.close()
+                return solo.submit(_timed_job, spec).result()
+            except BrokenProcessPool:
+                return None
+
+    for index in sorted(lost):
+        attempts = 1
+        result = run_alone(specs[index])
+        while result is None and attempts <= crash_retries:
+            stats.crashes += 1
+            stats.retried += 1
+            attempts += 1
+            result = run_alone(specs[index])
+        if result is None:
+            stats.crashes += 1
+            stats.quarantined += 1
+            finish(JobOutcome(
+                index, specs[index],
+                error=f"worker process exited abnormally; "
+                      f"quarantined after {attempts} attempts",
+                attempts=attempts,
+            ))
+        else:
+            payload, error, wall = result
+            finish(JobOutcome(index, specs[index], payload=payload,
+                              error=error, attempts=attempts, wall_s=wall))

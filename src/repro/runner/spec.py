@@ -17,9 +17,6 @@ Three job kinds exist:
     One seeded chaos case (``run_case(make_case(seed))``); the seed
     alone determines workload, machine size, and fault plan.  Cacheable
     (wall-clock is zeroed on a cache hit).
-``perf``
-    ``warmup`` untimed + ``repeats`` timed passes of one application in
-    one worker.  Never cached — the payload *is* a wall-clock sample.
 ``conform``
     One seeded differential-conformance case
     (``run_conform_case(make_case(seed, **args))``); the seed plus the
@@ -45,7 +42,7 @@ from repro.workloads.tm_patterns import (
     QueueWorkload,
 )
 
-JOB_KINDS = ("sim", "chaos", "perf", "conform")
+JOB_KINDS = ("sim", "chaos", "conform")
 
 #: name -> factory(config, **args) -> Workload.  Factories take the
 #: effective config first so they can match line/word geometry.
@@ -112,7 +109,7 @@ class JobSpec:
     """One simulation job as pure, picklable data."""
 
     kind: str = "sim"
-    #: ``sim``: a WORKLOAD_FACTORIES name.  ``perf``: an application name.
+    #: ``sim`` only: a WORKLOAD_FACTORIES name.
     workload: Optional[str] = None
     workload_args: Optional[Dict[str, Any]] = None
     #: The full effective config (already has overrides applied).
@@ -121,10 +118,7 @@ class JobSpec:
     seed: Optional[int] = None
     max_cycles: Optional[int] = None
     verify: bool = True
-    #: ``perf`` only.
-    repeats: int = 1
-    warmup: int = 0
-    #: ``perf`` jobs are never cached; chaos/sim jobs opt out with this.
+    #: Any job opts out of the result cache with this.
     cacheable: bool = True
     #: Free-form label for progress lines (not part of the cache key).
     label: str = ""
@@ -134,7 +128,7 @@ class JobSpec:
             raise ValueError(f"job kind must be one of {JOB_KINDS}, got {self.kind!r}")
         if self.kind in ("chaos", "conform") and self.seed is None:
             raise ValueError(f"{self.kind} jobs need a seed")
-        if self.kind in ("sim", "perf") and not self.workload:
+        if self.kind == "sim" and not self.workload:
             raise ValueError(f"{self.kind} jobs need a workload name")
 
     def canonical(self) -> Dict[str, Any]:
@@ -148,8 +142,6 @@ class JobSpec:
             "seed": self.seed,
             "max_cycles": self.max_cycles,
             "verify": self.verify,
-            "repeats": self.repeats,
-            "warmup": self.warmup,
         }
 
     def key(self) -> str:

@@ -15,6 +15,7 @@ from repro.runner import (
     ResultSummary,
     code_fingerprint,
     register_workload,
+    resolve_jobs,
     run_jobs,
 )
 
@@ -124,17 +125,6 @@ class TestRunJobs:
         assert [o.summary().fingerprint() for o in cold] == \
                [o.summary().fingerprint() for o in warm]
 
-    def test_perf_jobs_never_cached(self, tmp_path):
-        cache = ResultCache(root=str(tmp_path))
-        spec = JobSpec(kind="perf", workload="barnes",
-                       workload_args={"scale": 0.02}, config=CONFIG,
-                       verify=False, cacheable=False)
-        outcomes, stats = run_jobs([spec], jobs=1, cache=cache)
-        assert outcomes[0].ok
-        assert outcomes[0].payload["wall_samples_s"]
-        assert cache.entry_count() == 0
-        assert stats.executed == 1
-
     def test_chaos_job_matches_direct_run(self):
         outcomes, _ = run_jobs([JobSpec(kind="chaos", seed=11)], jobs=1)
         case = outcomes[0].payload["case"]
@@ -176,6 +166,72 @@ class TestWorkerCrash:
         assert "exit" in outcomes[1].error
         assert stats.crashes >= 1
         assert stats.quarantined == 1
+
+    def run_campaign_with_one_crasher(self, crash_retries):
+        """Five specs at jobs=2, the second of which kills its worker."""
+        register_workload("_crash_test", lambda config, **kw: os._exit(3))
+        try:
+            specs = [sim_spec({"n_counters": 2, "increments_per_proc": n})
+                     for n in (2, 3, 4, 5)]
+            specs.insert(1, JobSpec(kind="sim", workload="_crash_test",
+                                    config=CONFIG))
+            seen = []
+            outcomes, stats = run_jobs(specs, jobs=2, progress=seen.append,
+                                       crash_retries=crash_retries)
+        finally:
+            from repro.runner import WORKLOAD_FACTORIES
+            WORKLOAD_FACTORIES.pop("_crash_test", None)
+        assert sorted(o.index for o in seen) == list(range(len(specs)))
+        assert [o.index for o in outcomes] == list(range(len(specs)))
+        crasher = outcomes.pop(1)
+        assert not crasher.ok and "exit" in crasher.error
+        assert crasher.attempts == crash_retries + 1
+        for outcome in outcomes:
+            assert outcome.ok, outcome.error
+            assert outcome.wall_s > 0
+        return stats
+
+    def test_only_the_crasher_is_quarantined(self):
+        stats = self.run_campaign_with_one_crasher(crash_retries=1)
+        assert (stats.crashes, stats.retried, stats.quarantined) == (2, 1, 1)
+        assert (stats.executed, stats.errors) == (5, 1)
+
+    def test_only_the_crasher_is_quarantined_without_retries(self):
+        stats = self.run_campaign_with_one_crasher(crash_retries=0)
+        assert (stats.crashes, stats.retried, stats.quarantined) == (1, 0, 1)
+        assert (stats.executed, stats.errors) == (5, 1)
+
+
+class TestBenchJobs:
+    """``REPRO_JOBS`` follows the same rules as ``--jobs``."""
+
+    @pytest.fixture
+    def bench_jobs(self, monkeypatch):
+        monkeypatch.syspath_prepend(
+            os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks"))
+        from runner_env import bench_jobs
+        return bench_jobs
+
+    def test_unset_or_zero_means_all_cores(self, bench_jobs, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        assert bench_jobs() == resolve_jobs(None)
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        assert bench_jobs() == resolve_jobs(None)
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        assert bench_jobs() == 3
+
+    def test_negative_is_the_jobs_error(self, bench_jobs, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "-2")
+        with pytest.raises(ValueError) as env_error:
+            bench_jobs()
+        with pytest.raises(ValueError) as flag_error:
+            resolve_jobs(-2)
+        assert str(env_error.value) == str(flag_error.value)
+
+    def test_non_integer_names_the_variable(self, bench_jobs, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "two")
+        with pytest.raises(ValueError, match="REPRO_JOBS.*'two'"):
+            bench_jobs()
 
 
 class TestResultSummary:
