@@ -53,7 +53,7 @@ class HashTableWorkload(Workload):
             # slot with an atomic counter increment and write the key to
             # the slot we (transactionally) observed.  To keep the whole
             # insert atomic we put both ops in one transaction and let the
-            # replay checker validate every observed count.
+            # serializability check validate every observed count.
             ops = [
                 ("c", 30),
                 ("add", count_addr(bucket), 1),

@@ -25,7 +25,7 @@ def main() -> None:
     for n_processors in (1, 16):
         config = SystemConfig(n_processors=n_processors)
         system = ScalableTCCSystem(config)
-        # Every run is checked for serializability by serial replay.
+        # Every run is checked for serializability by the oracle.
         results[n_processors] = system.run(app_workload(app, scale=scale))
 
     base, parallel = results[1], results[16]

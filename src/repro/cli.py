@@ -20,7 +20,7 @@ cores) and memoize results in the content-addressed cache under
 ``.repro_cache/`` (``--no-cache`` to bypass); results are bit-identical
 at any ``--jobs`` setting.
 
-Every run performs the full serial-replay serializability check before
+Every run is judged by the independent serializability oracle before
 reporting results.  All commands exit nonzero with a one-line
 diagnostic on bad arguments or failed runs; ``--debug`` re-raises the
 underlying traceback.
@@ -106,7 +106,7 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
                         help="write-through commit (ablation)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--no-verify", action="store_true",
-                        help="skip the serial-replay check (faster)")
+                        help="skip the oracle's serializability check (faster)")
 
 
 def _config_from(args) -> SystemConfig:

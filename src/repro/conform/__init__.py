@@ -6,8 +6,8 @@ The pieces (see docs/TESTING.md for the workflow):
 * :mod:`repro.conform.generator` — seeded random programs with conflict
   knobs, and :func:`make_case` deriving a whole case from one seed;
 * :mod:`repro.conform.differ` — runs a case through the full machine and
-  diffs commit order, read witnesses, and final memory against
-  :mod:`repro.oracle`;
+  judges it against :mod:`repro.oracle` with the same judge as every
+  verified run (:func:`repro.verify.serializability.judge`);
 * :mod:`repro.conform.shrink` — greedy counterexample minimization;
 * :mod:`repro.conform.counterexample` — replayable failure files;
 * :mod:`repro.conform.harness` — parallel, cached campaigns
@@ -24,12 +24,7 @@ from repro.conform.counterexample import (
     replay_counterexample,
     save_counterexample,
 )
-from repro.conform.differ import (
-    ConformCaseResult,
-    Mismatch,
-    diff_run,
-    run_conform_case,
-)
+from repro.conform.differ import ConformCaseResult, run_conform_case
 from repro.conform.generator import ConformCase, GeneratorKnobs, generate_program, make_case
 from repro.conform.harness import format_report, run_conform
 from repro.conform.program import ConformProgram, ConformWorkload
@@ -41,9 +36,7 @@ __all__ = [
     "ConformProgram",
     "ConformWorkload",
     "GeneratorKnobs",
-    "Mismatch",
     "ShrinkResult",
-    "diff_run",
     "format_report",
     "generate_program",
     "iter_counterexamples",

@@ -1,24 +1,12 @@
 """Differential comparison: full simulator vs. reference oracle.
 
 ``run_conform_case`` runs one :class:`~repro.conform.generator.ConformCase`
-through the full simulated machine (``verify=False`` — the *oracle* is
-the judge here, not the simulator's own serial-replay check, which
-shares the commit log with the thing under test), hands the oracle the
-program plus the bare commit witness (tid, tx_id, proc), and diffs three
-surfaces:
-
-* **commit order** — the witness must be structurally possible: every
-  program transaction commits exactly once, TIDs are unique, and TID
-  order respects per-processor program order and barrier epochs
-  (:class:`~repro.oracle.machine.OracleViolation` kinds surface
-  directly as mismatches);
-* **read-value witnesses** — each committed transaction's observed
-  (line, word, value) load sequence must equal what the oracle computes
-  executing the *program's* ops serially in TID order (the commit log's
-  recorded ops are also checked against the program, so a corrupted log
-  cannot vouch for itself);
-* **per-word final memory** — the drained machine image must equal the
-  oracle's magic memory, word for word, zeros implicit on both sides.
+through the full simulated machine (``verify=False``) and judges the run
+against the case's own program with
+:func:`repro.verify.serializability.judge` — the same judge every
+``run(verify=True)`` uses, here fed the generated program rather than
+the schedules the machine recorded.  The judge diffs commit order, read
+witnesses and the per-word final memory against the oracle.
 
 Every failure mode is a structured :class:`ConformCaseResult`, never an
 exception, so campaigns keep running and outcomes are cacheable.
@@ -27,38 +15,15 @@ exception, so campaigns keep running and outcomes are cacheable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.conform.generator import ConformCase
-from repro.conform.program import ConformProgram
-from repro.core.system import ScalableTCCSystem, SimulationResult, SimulationTimeout
+from repro.core.system import ScalableTCCSystem, SimulationTimeout
 from repro.faults.watchdog import WatchdogStall
-from repro.oracle.machine import CommitWitness, OracleViolation, ReferenceTM
+from repro.verify.serializability import judge
 
 #: Hard backstop so a watchdog bug cannot hang the harness itself.
 MAX_CYCLES = 50_000_000
-
-#: Per-case cap on recorded mismatches (the first one is what you triage;
-#: the rest just prove it is not a one-off).
-MAX_MISMATCHES = 20
-
-
-@dataclass
-class Mismatch:
-    """One divergence between the machines."""
-
-    kind: str
-    detail: str
-    tx_id: Optional[int] = None
-    tid: Optional[int] = None
-
-    def as_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"kind": self.kind, "detail": self.detail}
-        if self.tx_id is not None:
-            data["tx_id"] = self.tx_id
-        if self.tid is not None:
-            data["tid"] = self.tid
-        return data
 
 
 @dataclass
@@ -95,75 +60,6 @@ class ConformCaseResult:
         }
 
 
-def diff_run(program: ConformProgram,
-             result: SimulationResult) -> List[Mismatch]:
-    """All divergences between one simulation result and the oracle."""
-    witness = [CommitWitness(rec.tid, rec.tx.tx_id, rec.proc)
-               for rec in result.commit_log]
-    oracle = ReferenceTM(program.line_size, program.word_size)
-    try:
-        reference = oracle.execute(program.oracle_txs(), witness)
-    except OracleViolation as exc:
-        return [Mismatch(exc.kind, exc.detail)]
-
-    mismatches: List[Mismatch] = []
-
-    def add(mismatch: Mismatch) -> bool:
-        mismatches.append(mismatch)
-        return len(mismatches) >= MAX_MISMATCHES
-
-    program_txs = program.transactions()
-    by_tx = reference.commit_by_tx()
-    for rec in sorted(result.commit_log, key=lambda r: r.tid):
-        prog_ops = tuple(tuple(op) for op in program_txs[rec.tx.tx_id].ops)
-        log_ops = tuple(tuple(op) for op in rec.tx.ops)
-        if prog_ops != log_ops:
-            if add(Mismatch(
-                "ops-mismatch",
-                f"commit log ops {log_ops!r} differ from program ops "
-                f"{prog_ops!r}",
-                tx_id=rec.tx.tx_id, tid=rec.tid,
-            )):
-                return mismatches
-            continue
-        expected = by_tx[rec.tx.tx_id].reads
-        observed = [tuple(read) for read in rec.reads]
-        if observed != expected:
-            index = next(
-                (i for i, (obs, exp) in enumerate(zip(observed, expected))
-                 if obs != exp),
-                min(len(observed), len(expected)),
-            )
-            obs_at = observed[index] if index < len(observed) else None
-            exp_at = expected[index] if index < len(expected) else None
-            if add(Mismatch(
-                "read-witness",
-                f"P{rec.proc} read #{index}: observed {obs_at}, oracle "
-                f"expects {exp_at} ({len(observed)}/{len(expected)} reads)",
-                tx_id=rec.tx.tx_id, tid=rec.tid,
-            )):
-                return mismatches
-
-    machine = result.memory_image
-    words = set(reference.memory)
-    for line, values in machine.items():
-        for word, value in enumerate(values):
-            if value:
-                words.add((line, word))
-    for line, word in sorted(words):
-        machine_line = machine.get(line)
-        machine_value = machine_line[word] if machine_line else 0
-        oracle_value = reference.memory.get((line, word), 0)
-        if machine_value != oracle_value:
-            if add(Mismatch(
-                "final-memory",
-                f"line {line} word {word}: machine has {machine_value}, "
-                f"oracle has {oracle_value}",
-            )):
-                return mismatches
-    return mismatches
-
-
 def run_conform_case(case: ConformCase) -> ConformCaseResult:
     """Run one case; every failure mode becomes a structured outcome."""
     result = ConformCaseResult(
@@ -192,7 +88,10 @@ def run_conform_case(case: ConformCase) -> ConformCaseResult:
         result.cycles = run.cycles
         result.committed = run.committed_transactions
         result.violations = run.total_violations
-        mismatches = diff_run(case.program, run)
+        program = case.program
+        mismatches = judge(program.schedules, run.commit_log,
+                           run.memory_image, program.line_size,
+                           program.word_size)
         if mismatches:
             result.outcome = "mismatch"
             result.detail = mismatches[0].detail

@@ -6,9 +6,8 @@ objects interleaved with barriers, plus the memory geometry both
 machines must agree on.  It converts losslessly to
 
 * a simulator :class:`~repro.workloads.base.Workload`
-  (:meth:`ConformProgram.to_workload`),
-* the oracle's located transaction list
-  (:meth:`ConformProgram.oracle_txs`), and
+  (:meth:`ConformProgram.to_workload`), whose schedules are also what
+  the oracle judge reads, and
 * canonical JSON (:meth:`to_dict` / :meth:`from_dict`) — the format
   counterexample files pin, so a shrunk failing program replays forever.
 """
@@ -18,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Sequence, Union
 
-from repro.oracle.machine import OracleTx, program_from_schedules
 from repro.workloads.base import BARRIER, Transaction, Workload
 
 #: JSON marker for a barrier inside a serialized schedule.
@@ -83,9 +81,6 @@ class ConformProgram:
 
     def to_workload(self) -> ConformWorkload:
         return ConformWorkload(self)
-
-    def oracle_txs(self) -> List[OracleTx]:
-        return program_from_schedules(self.schedules)
 
     def validate(self) -> None:
         """Barrier/tx_id consistency, via the Workload contract."""

@@ -5,14 +5,15 @@ one processor (with private L1/L2), one directory with its slice of
 physical memory, all joined by the 2-D mesh.  Node 0 additionally hosts
 the global TID vendor.  ``run(workload)`` drives the workload to
 completion, drains all committed-dirty data home, checks protocol
-quiescence and the gap-free TID contract, and (by default) verifies
-serializability by serial replay.
+quiescence and the gap-free TID contract, and (by default) has the
+independent oracle judge serializability
+(:mod:`repro.verify.serializability`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.core.config import SystemConfig
 from repro.core.messages import (
@@ -41,7 +42,7 @@ from repro.processor.stats import ProcessorStats
 from repro.profiling.tape import TapeProfiler
 from repro.sim import Barrier, Engine, Resource
 from repro.verify.serializability import CommitRecord, SerializabilityChecker
-from repro.workloads.base import Workload
+from repro.workloads.base import ScheduleItem, Workload
 
 _DIRECTORY_MESSAGES = (
     LoadRequest,
@@ -54,6 +55,14 @@ _DIRECTORY_MESSAGES = (
     WriteBackMsg,
     TokenWrite,
 )
+
+
+def _recorded(items: Iterable[ScheduleItem],
+              into: List[ScheduleItem]) -> Iterator[ScheduleItem]:
+    """Yield ``items``, appending each to ``into`` as it is pulled."""
+    for item in items:
+        into.append(item)
+        yield item
 
 
 class SimulationTimeout(RuntimeError):
@@ -283,18 +292,18 @@ class ScalableTCCSystem:
         workload: Workload,
         max_cycles: Optional[int] = None,
         verify: bool = True,
-        validate_workload: bool = False,
     ) -> SimulationResult:
         """Execute the workload to completion and return the results."""
         if self._ran:
             raise RuntimeError("a system instance runs exactly one workload")
         self._ran = True
         n = self.config.n_processors
-        if validate_workload:
-            workload.validate(n)
         self.barrier = Barrier(self.engine, n, name="workload-barrier")
+        # The program the oracle judges, recorded as the processors pull it.
+        schedules: List[List[ScheduleItem]] = [[] for _ in range(n)]
         for node, processor in enumerate(self.processors):
-            processor.process_for(iter(workload.schedule(node, n)))
+            processor.process_for(
+                _recorded(workload.schedule(node, n), schedules[node]))
         if self.config.watchdog_active:
             ProgressWatchdog(self, self.fault_stats).start()
         if self.config.paranoid:
@@ -347,8 +356,9 @@ class ScalableTCCSystem:
             fault_stats=self.fault_stats,
         )
         if verify:
-            checker = SerializabilityChecker(self.amap)
-            checker.check(self.commit_log, result.memory_image)
+            checker = SerializabilityChecker(self.config.line_size,
+                                             self.config.word_size)
+            checker.check(schedules, self.commit_log, result.memory_image)
         return result
 
     def _drain(self) -> None:

@@ -7,7 +7,7 @@ checks the full correctness stack:
 
 * the run *terminates* (the watchdog turns any hang into a
   :class:`~repro.faults.watchdog.WatchdogStall` diagnosis);
-* serial-replay serializability (``verify=True``);
+* serializability judged by the independent oracle (``verify=True``);
 * system invariants (checked inside ``run()``);
 * workload-level postconditions — exact counter values and committed
   transaction counts.
@@ -207,7 +207,7 @@ def run_case(case: ChaosCase) -> CaseResult:
         result.outcome = "timeout"
         result.detail = str(exc)
         result.cycles = system.engine.now
-    except Exception as exc:  # serializability / invariant / protocol
+    except Exception as exc:  # oracle verdict / invariant / protocol
         result.outcome = "error"
         result.detail = f"{type(exc).__name__}: {exc}".splitlines()[0]
         result.cycles = system.engine.now

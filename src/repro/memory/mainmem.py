@@ -1,9 +1,9 @@
 """Per-node physical memory holding actual word values.
 
 We model data values (not just addresses) so that the serializability
-checker in :mod:`repro.verify` can compare the machine's final state and
-every transactional read against a serial replay.  Untouched words read as
-zero, so memory is stored sparsely.
+judge in :mod:`repro.verify` can compare the machine's final state and
+every transactional read against the oracle's serial execution.
+Untouched words read as zero, so memory is stored sparsely.
 """
 
 from __future__ import annotations

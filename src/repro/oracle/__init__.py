@@ -1,8 +1,9 @@
 """Independent reference TM machine for differential conformance testing.
 
 See :mod:`repro.oracle.machine` for the machine itself and
-:mod:`repro.conform` for the harness that diffs it against the full
-simulator.
+:mod:`repro.verify.serializability` for the judge that diffs every
+verified run against it, and :mod:`repro.conform` for the random-program
+harness.
 """
 
 from repro.oracle.machine import (

@@ -1,20 +1,22 @@
-"""The conformance oracle: an idealized reference TM machine.
+"""The oracle: an idealized reference TM machine.
 
-This is the *other* implementation in our differential test.  It models
-the machine the paper's correctness argument describes — OCC condition 3
-(Kung & Robinson): committed transactions behave as if executed serially
-in TID order — with none of the things that make the real simulator hard:
-no caches, no directories, no network, no speculation, no retries.  Magic
-zero-latency word memory, one transaction at a time, strictly ascending
-TID order.
+This is the judge of every verified run and the *other* implementation
+in the differential test.  It models the machine the paper's correctness
+argument describes — OCC condition 3 (Kung & Robinson): committed
+transactions behave as if executed serially in TID order — with none of
+the things that make the real simulator hard: no caches, no directories,
+no network, no speculation, no retries.  Magic zero-latency word memory,
+one transaction at a time, strictly ascending TID order.
 
 Independence is the whole point.  This module deliberately reimplements
 line/word arithmetic and serial execution rather than importing
 ``repro.memory``, ``repro.processor`` or ``repro.verify``; the only
 shared code is the workload *data model* (``Transaction`` / ``BARRIER``),
 which both machines must agree on to run the same program at all.  A bug
-that corrupts the simulator and its own commit-log replay the same way
-cannot also corrupt this machine.
+that corrupts the simulator or its commit log cannot also corrupt this
+machine.  ``ReferenceTM.execute`` is the only serial execution of
+transaction ops in the package: ``repro.verify.serializability`` calls
+it for every ``run(verify=True)`` and for every conformance case.
 
 The oracle consumes two things:
 
@@ -29,7 +31,7 @@ It first checks the witness is structurally possible (every program
 transaction commits exactly once, TIDs are unique, TID order respects
 per-processor program order and barrier epochs), then executes the
 program serially in TID order, producing per-transaction read/write
-witnesses and a final memory image for the differ to compare.
+witnesses and a final memory image for the judge to compare.
 """
 
 from __future__ import annotations

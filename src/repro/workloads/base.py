@@ -95,7 +95,9 @@ class Workload:
         raise NotImplementedError
 
     def schedules(self, n_procs: int) -> List[List[ScheduleItem]]:
-        """All schedules, materialized (used by tests and the verifier)."""
+        """All schedules, materialized (used by :meth:`validate` and tests;
+        a verified run records the program the oracle judges as its
+        processors pull it, without calling this)."""
         return [list(self.schedule(p, n_procs)) for p in range(n_procs)]
 
     def validate(self, n_procs: int) -> None:

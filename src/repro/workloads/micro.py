@@ -26,8 +26,9 @@ class CounterWorkload(Workload):
     """Every processor increments randomly chosen shared counters.
 
     The increments are ``add`` ops (load + store of the loaded value), so
-    any lost update or stale read breaks the serial replay check.  Each
-    counter sits on its own page so counters spread across directories.
+    any lost update or stale read fails the oracle's serializability
+    check.  Each counter sits on its own page so counters spread across
+    directories.
     """
 
     name = "counters"

@@ -126,7 +126,7 @@ class TestRetentionEdges:
         victim = [Transaction(1, [("ld", hot), ("c", 1500),
                                   ("add", hot + 64, 1)])]
         writers = [
-            [Transaction(100 * p + i, [("c", 5), ("add", hot, 1)])
+            [Transaction(100 * (p + 1) + i, [("c", 5), ("add", hot, 1)])
              for i in range(10)]
             for p in range(3)
         ]

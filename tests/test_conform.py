@@ -15,7 +15,6 @@ import pytest
 from repro.conform import (
     ConformCase,
     ConformProgram,
-    diff_run,
     generate_program,
     iter_counterexamples,
     load_counterexample,
@@ -29,7 +28,7 @@ from repro.conform import (
 from repro.conform.harness import results_fingerprint
 from repro.core.system import ScalableTCCSystem
 from repro.runner import JobSpec, ResultCache, run_jobs
-from repro.verify import CommitRecord
+from repro.verify import CommitRecord, judge
 
 
 class TestGenerator:
@@ -88,6 +87,12 @@ def clean_run():
     return case, run_machine(case)
 
 
+def judged(program, result):
+    """The shared judge on one case's program and a run of it."""
+    return judge(program.schedules, result.commit_log, result.memory_image,
+                 program.line_size, program.word_size)
+
+
 def corrupted(result, mutate):
     """A deep-copied SimulationResult with ``mutate`` applied."""
     twin = copy.deepcopy(result)
@@ -96,15 +101,16 @@ def corrupted(result, mutate):
 
 
 class TestDiffer:
-    """Every diff surface must catch its corruption class — injected
-    into a *real* run's log, not a hand-built one."""
+    """Every diff surface of the judge conform shares with
+    ``run(verify=True)`` must catch its corruption class — injected into
+    a *real* run's log, not a hand-built one."""
 
     def test_clean_run_has_no_mismatches(self, clean_run):
         case, result = clean_run
-        assert diff_run(case.program, result) == []
+        assert judged(case.program, result) == []
 
     def first_kind(self, case, result):
-        mismatches = diff_run(case.program, result)
+        mismatches = judged(case.program, result)
         assert mismatches, "corruption went undetected"
         return mismatches[0].kind
 

@@ -147,7 +147,7 @@ def test_dirty_line_flushed_before_respeculation():
 
 def test_read_only_tx_sees_consistent_snapshot_under_contention():
     """A reader that raced with writers must still observe a TID-ordered
-    snapshot (validated by the replay checker inside run())."""
+    snapshot (validated by the oracle judge inside run())."""
     addr = 0
     writers = [
         [Transaction(100 + i, [("c", 5), ("add", addr, 1)]) for i in range(4)]

@@ -132,16 +132,16 @@ class TestRunErrorPaths:
         with pytest.raises(SimulationTimeout, match="deadlock"):
             system.run(Broken(), max_cycles=1_000_000)
 
-    def test_validate_workload_flag_catches_it_first(self):
-        from repro.workloads.base import BARRIER
+    def test_verified_run_rejects_a_reused_tx_id(self):
+        # Both processors run a transaction numbered 1: the program is
+        # malformed, and the oracle refuses to judge it.
+        from repro.verify import ReplayMismatch
 
-        class Broken(Workload):
+        class Reused(Workload):
             def schedule(self, proc, n_procs):
-                items = [Transaction(proc, [("c", 10)])]
-                if proc == 0:
-                    items.append(BARRIER)
-                return iter(items)
+                return iter([Transaction(1, [("st", PAGE * proc, proc)])])
 
         system = ScalableTCCSystem(SystemConfig(n_processors=2))
-        with pytest.raises(ValueError, match="barrier"):
-            system.run(Broken(), validate_workload=True)
+        with pytest.raises(ReplayMismatch, match="tx_id 1 appears") as info:
+            system.run(Reused(), max_cycles=1_000_000)
+        assert [m.kind for m in info.value.mismatches] == ["bad-program"]

@@ -3,7 +3,7 @@
 The heavyweight property: *any* random transactional workload, on *any*
 machine shape, must be serializable in TID order, livelock-free, and
 leave every directory quiescent with a gap-free TID history.  The
-simulator's built-in replay checker enforces serializability; this file
+simulator's built-in oracle judge enforces serializability; this file
 generates adversarial inputs for it.
 """
 

@@ -1,28 +1,45 @@
-"""Unit tests for the serial-replay checker itself.
+"""Unit tests for the serializability judge itself.
 
-The checker guards the whole project; these tests prove it actually
+The judge guards the whole project; these tests prove it actually
 catches the bug classes it claims to (stale reads, lost updates, bad
-final state) and accepts correct histories.
+final state, impossible commit orders) and accepts correct histories.
+Every test goes through :meth:`SerializabilityChecker.check`, the entry
+point every ``run(verify=True)`` uses, and asserts the mismatch kind.
 """
 
 import pytest
 
-from repro.memory import AddressMap
 from repro.verify import CommitRecord, ReplayMismatch, SerializabilityChecker
 from repro.workloads import Transaction
+from repro.workloads.base import Workload
 
 
 @pytest.fixture
 def checker():
-    return SerializabilityChecker(AddressMap())
+    return SerializabilityChecker()
 
 
 def record(tid, tx_id, ops, reads, proc=0):
     return CommitRecord(tid=tid, tx=Transaction(tx_id, ops), proc=proc, reads=reads)
 
 
+def program_of(log):
+    """The program a hand-built log claims: each record's transaction on
+    its processor, in TID order."""
+    schedules = [[] for _ in range(1 + max((r.proc for r in log), default=0))]
+    for rec in sorted(log, key=lambda r: r.tid):
+        schedules[rec.proc].append(rec.tx)
+    return schedules
+
+
+def kinds(checker, schedules, log, image):
+    with pytest.raises(ReplayMismatch) as info:
+        checker.check(schedules, log, image)
+    return [m.kind for m in info.value.mismatches]
+
+
 def test_empty_log_passes(checker):
-    checker.check([], {})
+    checker.check([], [], {})
 
 
 def test_correct_serial_history_passes(checker):
@@ -31,7 +48,7 @@ def test_correct_serial_history_passes(checker):
         record(2, 2, [("ld", 0)], [(0, 0, 5)]),
         record(3, 3, [("add", 0, 1)], [(0, 0, 5)]),
     ]
-    checker.check(log, {0: [6, 0, 0, 0, 0, 0, 0, 0]})
+    checker.check(program_of(log), log, {0: [6, 0, 0, 0, 0, 0, 0, 0]})
 
 
 def test_stale_read_detected(checker):
@@ -39,8 +56,10 @@ def test_stale_read_detected(checker):
         record(1, 1, [("st", 0, 5)], []),
         record(2, 2, [("ld", 0)], [(0, 0, 0)]),  # observed pre-commit value
     ]
-    with pytest.raises(ReplayMismatch, match="observed 0"):
-        checker.replay(log)
+    with pytest.raises(ReplayMismatch, match="observed \\(0, 0, 0\\)") as info:
+        checker.check(program_of(log), log, {0: [5, 0, 0, 0, 0, 0, 0, 0]})
+    assert [m.kind for m in info.value.mismatches] == ["read-witness"]
+    assert info.value.mismatches[0].tx_id == 2
 
 
 def test_lost_update_detected(checker):
@@ -49,19 +68,21 @@ def test_lost_update_detected(checker):
         record(1, 1, [("add", 0, 1)], [(0, 0, 0)]),
         record(2, 2, [("add", 0, 1)], [(0, 0, 0)]),  # lost update!
     ]
-    with pytest.raises(ReplayMismatch):
-        checker.replay(log)
+    image = {0: [1, 0, 0, 0, 0, 0, 0, 0]}  # what a lost update leaves
+    assert kinds(checker, program_of(log), log, image) \
+        == ["read-witness", "final-memory"]
 
 
 def test_wrong_final_memory_detected(checker):
     log = [record(1, 1, [("st", 0, 5)], [])]
-    with pytest.raises(ReplayMismatch, match="final memory"):
-        checker.check(log, {0: [4, 0, 0, 0, 0, 0, 0, 0]})
+    with pytest.raises(ReplayMismatch, match="final-memory") as info:
+        checker.check(program_of(log), log, {0: [4, 0, 0, 0, 0, 0, 0, 0]})
+    assert [m.kind for m in info.value.mismatches] == ["final-memory"]
 
 
 def test_missing_final_line_treated_as_zero(checker):
     log = [record(1, 1, [("st", 0, 0)], [])]
-    checker.check(log, {})  # value 0 matches implicit zero memory
+    checker.check(program_of(log), log, {})  # value 0 matches implicit zero memory
 
 
 def test_duplicate_tids_detected(checker):
@@ -69,30 +90,32 @@ def test_duplicate_tids_detected(checker):
         record(3, 1, [("st", 0, 1)], []),
         record(3, 2, [("st", 4, 1)], []),
     ]
-    with pytest.raises(ReplayMismatch, match="duplicate TID"):
-        checker.replay(log)
+    assert kinds(checker, program_of(log), log, {0: [1, 1, 0, 0, 0, 0, 0, 0]}) \
+        == ["duplicate-tid"]
 
 
 def test_reads_on_wrong_address_detected(checker):
     log = [record(1, 1, [("ld", 0)], [(9, 9, 0)])]
-    with pytest.raises(ReplayMismatch, match="recorded"):
-        checker.replay(log)
+    with pytest.raises(ReplayMismatch, match="observed \\(9, 9, 0\\)") as info:
+        checker.check(program_of(log), log, {})
+    assert [m.kind for m in info.value.mismatches] == ["read-witness"]
 
 
 def test_too_few_recorded_reads_detected(checker):
     log = [record(1, 1, [("ld", 0), ("ld", 4)], [(0, 0, 0)])]
-    with pytest.raises(ReplayMismatch, match="fewer recorded reads"):
-        checker.replay(log)
+    with pytest.raises(ReplayMismatch, match="1/2 reads") as info:
+        checker.check(program_of(log), log, {})
+    assert [m.kind for m in info.value.mismatches] == ["read-witness"]
 
 
 def test_tid_order_not_log_order_governs(checker):
     # Log appended out of TID order (commit completion order can differ);
-    # the replay must sort by TID.
+    # the judge must sort by TID.
     log = [
         record(2, 2, [("ld", 0)], [(0, 0, 5)]),
         record(1, 1, [("st", 0, 5)], []),
     ]
-    checker.check(log, {0: [5, 0, 0, 0, 0, 0, 0, 0]})
+    checker.check(program_of(log), log, {0: [5, 0, 0, 0, 0, 0, 0, 0]})
 
 
 def test_rmw_chain_value_tracking(checker):
@@ -100,36 +123,54 @@ def test_rmw_chain_value_tracking(checker):
         record(tid, tid, [("add", 0, 2)], [(0, 0, (tid - 1) * 2)])
         for tid in range(1, 6)
     ]
-    checker.check(log, {0: [10, 0, 0, 0, 0, 0, 0, 0]})
+    checker.check(program_of(log), log, {0: [10, 0, 0, 0, 0, 0, 0, 0]})
+
+
+def test_swapped_tids_on_one_processor_break_program_order(checker):
+    # Disjoint writes: every read and the final memory fit either serial
+    # order, so only the program order can expose the swap.
+    first = Transaction(1, [("st", 0, 1)])
+    second = Transaction(2, [("st", 4, 2)])
+    log = [
+        CommitRecord(tid=2, tx=first, proc=0, reads=[]),
+        CommitRecord(tid=1, tx=second, proc=0, reads=[]),
+    ]
+    assert kinds(checker, [[first, second]], log,
+                 {0: [1, 2, 0, 0, 0, 0, 0, 0]}) == ["program-order"]
+
+
+class HotCounters(Workload):
+    """Four transactions per processor on two hot words, plus one
+    read-only transaction each."""
+
+    def schedule(self, proc, n_procs):
+        import random
+
+        rng = random.Random(proc)
+        txs = []
+        for i in range(4):
+            ops = [("add", 0, 1), ("ld", 4)]
+            if rng.random() < 0.5:
+                ops.append(("st", 4, proc * 10 + i))
+            txs.append(Transaction(proc * 100 + i, ops))
+        txs.append(Transaction(proc * 100 + 50, [("ld", 0), ("ld", 4)]))
+        return iter(txs)
 
 
 class TestAdversarialRealLog:
-    """The checker against a *real* machine's commit log, deliberately
+    """The judge against a *real* machine's commit log, deliberately
     corrupted after the fact.
 
-    The unit tests above feed the checker hand-built histories; these
+    The unit tests above feed the judge hand-built histories; these
     prove it also rejects tampering with the genuine artifact — the log
     a full contended simulation produced — so a protocol bug that
     corrupts the log in-flight cannot slip past.  A fresh run is
-    corrupted per test (CommitRecord is mutable; no sharing).
+    corrupted per test (CommitRecord is mutable; no sharing).  The
+    program comes from a fresh ``schedules`` call, not from the run.
     """
 
     def run_real(self):
-        import random
-
         from repro import ScalableTCCSystem, SystemConfig
-        from repro.workloads.base import Workload
-
-        class HotCounters(Workload):
-            def schedule(self, proc, n_procs):
-                rng = random.Random(proc)
-                txs = []
-                for i in range(4):
-                    ops = [("add", 0, 1), ("ld", 4)]
-                    if rng.random() < 0.5:
-                        ops.append(("st", 4, proc * 10 + i))
-                    txs.append(Transaction(proc * 100 + i, ops))
-                return iter(txs)
 
         system = ScalableTCCSystem(SystemConfig(
             n_processors=4, seed=17, network_jitter=4,
@@ -138,47 +179,55 @@ class TestAdversarialRealLog:
         # verify=False: we corrupt and re-check by hand below.
         result = system.run(HotCounters(), max_cycles=50_000_000,
                             verify=False)
-        checker = SerializabilityChecker(AddressMap())
-        checker.check(result.commit_log, result.memory_image)  # sanity
-        return result, SerializabilityChecker(AddressMap())
+        program = HotCounters().schedules(4)
+        checker = SerializabilityChecker()
+        checker.check(program, result.commit_log, result.memory_image)  # sanity
+        return result, program, checker
+
+    def rejected_kinds(self, result, program, checker):
+        return kinds(checker, program, result.commit_log, result.memory_image)
 
     def test_pristine_log_passes(self):
-        result, checker = self.run_real()
-        checker.check(result.commit_log, result.memory_image)
+        result, program, checker = self.run_real()
+        checker.check(program, result.commit_log, result.memory_image)
 
     def test_corrupted_read_value_rejected(self):
-        result, checker = self.run_real()
+        result, program, checker = self.run_real()
         rec = next(r for r in result.commit_log if r.reads)
         line, word, value = rec.reads[0]
         rec.reads[0] = (line, word, value + 1)
-        with pytest.raises(ReplayMismatch):
-            checker.check(result.commit_log, result.memory_image)
+        assert self.rejected_kinds(result, program, checker) == ["read-witness"]
 
     def test_swapped_tids_rejected(self):
-        # Two same-word RMW transactions with exchanged TIDs replay in
-        # the wrong serial order, so their observed values cannot fit.
-        result, checker = self.run_real()
+        # The first and last RMW by TID exchange TIDs: each now sits out
+        # of place in its own processor's program order.
+        result, program, checker = self.run_real()
         rmws = [r for r in result.commit_log
                 if any(op[0] == "add" for op in r.tx.ops)]
         rmws.sort(key=lambda r: r.tid)
         a, b = rmws[0], rmws[-1]
         a.tid, b.tid = b.tid, a.tid
-        with pytest.raises(ReplayMismatch):
-            checker.check(result.commit_log, result.memory_image)
+        assert self.rejected_kinds(result, program, checker) == ["program-order"]
 
     def test_dropped_commit_rejected(self):
-        # Remove one increment: the surviving reads and the final
-        # memory image no longer tell one consistent story.
-        result, checker = self.run_real()
+        # Remove one increment: the program says it committed.
+        result, program, checker = self.run_real()
         rmws = sorted((r for r in result.commit_log
                        if any(op[0] == "add" for op in r.tx.ops)),
                       key=lambda r: r.tid)
         result.commit_log.remove(rmws[0])
-        with pytest.raises(ReplayMismatch):
-            checker.check(result.commit_log, result.memory_image)
+        assert self.rejected_kinds(result, program, checker) == ["missing-commit"]
+
+    def test_dropped_read_only_commit_rejected(self):
+        # A read-only commit leaves no trace in memory or in later
+        # reads, so only the program can tell that it is missing.
+        result, program, checker = self.run_real()
+        read_only = next(r for r in result.commit_log
+                         if all(op[0] == "ld" for op in r.tx.ops))
+        result.commit_log.remove(read_only)
+        assert self.rejected_kinds(result, program, checker) == ["missing-commit"]
 
     def test_tampered_final_memory_rejected(self):
-        result, checker = self.run_real()
+        result, program, checker = self.run_real()
         result.memory_image[0][0] += 1
-        with pytest.raises(ReplayMismatch, match="final memory"):
-            checker.check(result.commit_log, result.memory_image)
+        assert self.rejected_kinds(result, program, checker) == ["final-memory"]
