@@ -44,7 +44,8 @@ from repro.sim import Barrier, Engine, Resource
 from repro.verify.serializability import CommitRecord, SerializabilityChecker
 from repro.workloads.base import ScheduleItem, Workload
 
-_DIRECTORY_MESSAGES = (
+#: Message types the node router hands to the directory (by exact type).
+_DIRECTORY_MESSAGES = frozenset({
     LoadRequest,
     SkipMsg,
     ProbeRequest,
@@ -54,7 +55,7 @@ _DIRECTORY_MESSAGES = (
     InvAck,
     WriteBackMsg,
     TokenWrite,
-)
+})
 
 
 def _recorded(items: Iterable[ScheduleItem],
@@ -268,9 +269,10 @@ class ScalableTCCSystem:
 
         def route(packet):
             msg = packet.payload
-            if isinstance(msg, _DIRECTORY_MESSAGES):
+            kind = type(msg)
+            if kind in _DIRECTORY_MESSAGES:
                 directory.deliver(msg)
-            elif isinstance(msg, TidRequest):
+            elif kind is TidRequest:
                 if not is_vendor_node:
                     raise RuntimeError(f"TID request routed to non-vendor node {node}")
                 tid = self.vendor.next_tid(msg.requester, msg.seq)

@@ -159,6 +159,7 @@ class DirectoryController:
         # Occupancy server: messages waiting behind the one in service.
         self._queue: deque = deque()
         self._idle = True
+        self._latency = config.directory_latency
         self._service = 0  # cycles the message in service occupies
         self._pending_probes: List[ProbeRequest] = []
         self._stalled_loads: Dict[int, List[LoadRequest]] = defaultdict(list)
@@ -209,7 +210,11 @@ class DirectoryController:
 
     def deliver(self, msg: Any) -> None:
         """Entry point: the node router drops directory messages here."""
-        self._enqueue(msg)
+        if self._idle:
+            self._idle = False
+            self._start(msg)
+        else:
+            self._queue.append(msg)
 
     @property
     def nstid(self) -> int:
@@ -221,10 +226,11 @@ class DirectoryController:
     #
     # One message at a time holds the controller for ``directory_latency``
     # cycles plus any directory-cache penalty; the rest wait FIFO.  Each
-    # message costs three engine calls: a zero-delay hop into service, the
-    # service timer, and a zero-delay hop into its handler.  The hops do
-    # no work; they keep the (cycle, seq) order of the generator process
-    # this server replaced, which the pinned fingerprints depend on.
+    # message costs one engine event, its service timer: service starts
+    # in the callback that delivers a message to an idle controller, and
+    # at service end the handler runs and the next queued message starts
+    # in the same callback.  A message whose service takes no cycles is
+    # handled on the spot, in a loop rather than by recursion.
 
     def _serve(self) -> None:
         """Bind the dispatch table: message type -> handler.
@@ -244,51 +250,55 @@ class DirectoryController:
             TokenWrite: self._handle_token_write,
         }
 
-    def _enqueue(self, msg: Any) -> None:
-        if self._idle:
-            self._idle = False
-            self.engine.schedule_call(0, self._start, msg)
-        else:
-            self._queue.append(msg)
-
     def _start(self, msg: Any) -> None:
-        injector = self.fault_injector
-        if injector is not None and injector.has_dir_stalls:
-            pause = injector.dir_stall_pause(self.node, self.engine.now)
-            if pause:
-                # Node fault: the controller goes dark until the window
-                # ends; queued messages wait it out.
-                self.engine.schedule_call(pause, self._stall_over, msg)
-                return
-        self._occupy(msg)
+        """Serve ``msg``, then each queued message whose service takes no
+        cycles, until one holds the controller or the queue is empty."""
+        while msg is not None:
+            injector = self.fault_injector
+            if injector is not None and injector.has_dir_stalls:
+                pause = injector.dir_stall_pause(self.node, self.engine.now)
+                if pause:
+                    # Node fault: the controller goes dark until the
+                    # window ends; queued messages wait it out.
+                    self.engine.schedule_call(pause, self._after_stall, msg)
+                    return
+            msg = self._occupy(msg)
 
-    def _stall_over(self, msg: Any) -> None:
-        self.engine.schedule_call(0, self._occupy, msg)
+    def _after_stall(self, msg: Any) -> None:
+        msg = self._occupy(msg)
+        if msg is not None:
+            self._start(msg)
 
-    def _occupy(self, msg: Any) -> None:
-        service = self.config.directory_latency + self._dir_cache_penalty(msg)
+    def _occupy(self, msg: Any) -> Optional[Any]:
+        """Hold the controller for ``msg``'s service time (dir-cache
+        penalty decided now) and return None; a message that takes no
+        cycles is handled at once, returning the next queued one."""
+        service = self._latency
+        if self._dir_cache is not None:
+            service += self._dir_cache_penalty(msg)
         if not service:
-            self._dispatch(msg)
-            return
+            return self._dispatch(msg)
         self._service = service
-        self.engine.schedule_call(service, self._service_over, msg)
-
-    def _service_over(self, msg: Any) -> None:
-        self.engine.schedule_call(0, self._finish, msg)
+        self.engine.schedule_call(service, self._finish, msg)
+        return None
 
     def _finish(self, msg: Any) -> None:
         self.stats.busy_cycles += self._service
-        self._dispatch(msg)
+        msg = self._dispatch(msg)
+        if msg is not None:
+            self._start(msg)
 
-    def _dispatch(self, msg: Any) -> None:
+    def _dispatch(self, msg: Any) -> Optional[Any]:
+        """Run ``msg``'s handler; return the next queued message, or
+        None after marking the controller idle."""
         handler = self._handlers.get(type(msg))
         if handler is None:
             raise ProtocolError(f"directory {self.node} got unknown message {msg!r}")
         handler(msg)
         if self._queue:
-            self.engine.schedule_call(0, self._start, self._queue.popleft())
-        else:
-            self._idle = True
+            return self._queue.popleft()
+        self._idle = True
+        return None
 
     def _dir_cache_penalty(self, msg: Any) -> int:
         """Extra cycles to fetch uncached directory entries from memory.
@@ -296,8 +306,6 @@ class DirectoryController:
         Concurrent entry fetches are overlapped: a message touching
         several uncached lines pays one memory access.
         """
-        if self._dir_cache is None:
-            return 0
         lines = getattr(msg, "lines", None)
         if lines is not None:
             touched = list(lines)
@@ -816,7 +824,8 @@ class DirectoryController:
                 ]
                 for probe in ready:
                     self._reply_probe(probe)
-        self._release_stalled_loads()
+        if self._stalled_loads:
+            self._release_stalled_loads()
 
     def _release_stalled_loads(self) -> None:
         if not self._stalled_loads:
@@ -829,9 +838,10 @@ class DirectoryController:
         for line in released_lines:
             waiting = self._stalled_loads.pop(line)
             for load in waiting:
-                # Re-enqueue behind the queued messages so each released
-                # load pays directory occupancy again.
-                self._enqueue(load)
+                # Re-queue behind the queued messages so each released
+                # load pays directory occupancy again (a handler runs
+                # only while the controller is busy).
+                self._queue.append(load)
 
     # ------------------------------------------------------------------
     # end-of-run checks

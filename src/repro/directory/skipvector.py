@@ -52,8 +52,11 @@ class SkipVector:
         if offset < 0:
             self.stale_skips += 1
             return 0
-        self._bits |= 1 << offset
-        self.max_width = max(self.max_width, self._bits.bit_length())
+        bits = self._bits | 1 << offset
+        width = bits.bit_length()
+        if width > self.max_width:
+            self.max_width = width
+        self._bits = bits
         return self._drain()
 
     def complete_current(self) -> int:
@@ -65,11 +68,13 @@ class SkipVector:
         return self._drain()
 
     def _drain(self) -> int:
-        advanced = 0
-        while self._bits & 1:
-            self._bits >>= 1
-            self._nstid += 1
-            advanced += 1
+        """Shift out the run of set low bits, advancing the NSTID."""
+        bits = self._bits
+        # bits ^ (bits + 1) sets the trailing ones plus the next bit.
+        advanced = (bits ^ (bits + 1)).bit_length() - 1
+        if advanced:
+            self._bits = bits >> advanced
+            self._nstid += advanced
         return advanced
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -83,6 +83,12 @@ class FaultInjector:
         self.stats = stats if stats is not None else FaultStats()
         self.event_log = event_log
         self._rng = Random((plan.seed << 20) ^ _SEED_SALT)
+        #: ``(index, rule, filtered)`` per packet rule; a rule without
+        #: filters matches every packet, so its ``matches`` is skipped.
+        self._rules = [
+            (index, rule, rule.filtered)
+            for index, rule in enumerate(plan.packet_faults)
+        ]
         # Per-rule held packet for "reorder": (packet, engine, deliver).
         self._held: Dict[int, Tuple[Any, Any, Any]] = {}
         # Per-node stall/pause windows, precomputed and sorted by start.
@@ -113,8 +119,8 @@ class FaultInjector:
         action: Optional[str] = None
         rule_index = -1
         rule = None
-        for index, candidate in enumerate(self.plan.packet_faults):
-            if not candidate.matches(
+        for index, candidate, filtered in self._rules:
+            if filtered and not candidate.matches(
                 packet.src, packet.dst, packet.traffic_class, now
             ):
                 continue

@@ -69,6 +69,17 @@ class PacketFault:
                 f"start_cycle ({self.start_cycle})"
             )
 
+    @property
+    def filtered(self) -> bool:
+        """False when every filter is at its match-everything default, so
+        :meth:`matches` accepts every packet.
+
+        Compares against the same rule rebuilt from its non-filter fields
+        alone, so a filter field added later counts without being listed
+        here."""
+        return self != PacketFault(self.kind, self.probability,
+                                   delay=self.delay)
+
     def matches(self, src: int, dst: int, traffic_class: str, now: int) -> bool:
         if now < self.start_cycle:
             return False

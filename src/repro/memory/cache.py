@@ -26,7 +26,7 @@ that with large private L2 caches these overflows are rare.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.memory.address import AddressMap
 
@@ -141,7 +141,11 @@ class SpeculativeCache:
         self.n_sets = n_lines // ways
         self.granularity = granularity
         self.name = name
-        self._sets: List[Dict[int, CacheLine]] = [dict() for _ in range(self.n_sets)]
+        # Set index -> {line: CacheLine}.  A set is allocated by its first
+        # fill and kept (empty or not) for the rest of the run, so a
+        # 512 KB cache touched by a few hundred lines holds a few hundred
+        # dicts, not 2,048.
+        self._sets: Dict[int, Dict[int, CacheLine]] = {}
         self._clock = 0
         # Index of lines with SR/SM state, so transaction-boundary walks
         # touch only the speculative footprint instead of every resident
@@ -152,9 +156,6 @@ class SpeculativeCache:
         self.stats = CacheStats()
 
     # -- indexing -------------------------------------------------------
-
-    def _set_of(self, line: int) -> Dict[int, CacheLine]:
-        return self._sets[line % self.n_sets]
 
     def _mask_for(self, word: int) -> int:
         if self.granularity == "line":
@@ -169,13 +170,17 @@ class SpeculativeCache:
 
     def lookup(self, line: int, touch: bool = True) -> Optional[CacheLine]:
         """The resident line, or None.  ``touch`` refreshes LRU state."""
-        entry = self._set_of(line).get(line)
+        bucket = self._sets.get(line % self.n_sets)
+        if bucket is None:
+            return None
+        entry = bucket.get(line)
         if entry is not None and touch:
             entry.last_use = self._tick()
         return entry
 
     def contains(self, line: int) -> bool:
-        return line in self._set_of(line)
+        bucket = self._sets.get(line % self.n_sets)
+        return bucket is not None and line in bucket
 
     # -- accesses -------------------------------------------------------
 
@@ -229,7 +234,10 @@ class SpeculativeCache:
         """
         if len(data) != self.amap.words_per_line:
             raise ValueError("fill data has wrong word count")
-        bucket = self._set_of(line)
+        index = line % self.n_sets
+        bucket = self._sets.get(index)
+        if bucket is None:
+            bucket = self._sets[index] = {}
         existing = bucket.get(line)
         full = self.amap.full_line_mask
         if existing is not None:
@@ -266,7 +274,8 @@ class SpeculativeCache:
 
     def invalidate(self, line: int) -> Optional[CacheLine]:
         """Drop the whole line (inclusion victim or full invalidation)."""
-        entry = self._set_of(line).pop(line, None)
+        bucket = self._sets.get(line % self.n_sets)
+        entry = bucket.pop(line, None) if bucket is not None else None
         if entry is not None and (entry.sr_mask | entry.sm_mask):
             if self._spec.pop(line, None) is not None:
                 self._spec_sorted = None
@@ -275,8 +284,8 @@ class SpeculativeCache:
     def invalidate_words(self, line: int, word_mask: int) -> Optional[CacheLine]:
         """Clear valid/SR/SM bits for the given words; drop the line if no
         valid words remain.  Returns the (possibly removed) entry."""
-        bucket = self._set_of(line)
-        entry = bucket.get(line)
+        bucket = self._sets.get(line % self.n_sets)
+        entry = bucket.get(line) if bucket is not None else None
         if entry is None:
             return None
         entry.valid_mask &= ~word_mask
@@ -291,7 +300,7 @@ class SpeculativeCache:
 
     def clear_dirty(self, line: int) -> None:
         """Mark a line clean after its data was flushed to the home node."""
-        entry = self._set_of(line).get(line)
+        entry = self.lookup(line, touch=False)
         if entry is not None:
             entry.dirty = False
 
@@ -358,8 +367,15 @@ class SpeculativeCache:
 
     # -- introspection ---------------------------------------------------
 
+    def lines(self) -> Iterator[CacheLine]:
+        """Every resident line, in set-index order and, within a set, in
+        insertion order: the order of a walk over all sets."""
+        sets = self._sets
+        for index in sorted(sets):
+            yield from sets[index].values()
+
     def resident_lines(self) -> int:
-        return sum(len(bucket) for bucket in self._sets)
+        return sum(len(bucket) for bucket in self._sets.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -45,17 +45,20 @@ class AccessResult:
 
 
 class _TagFilter:
-    """Tag-only set-associative LRU store modelling L1 residency."""
+    """Tag-only set-associative LRU store modelling L1 residency.
+
+    Sets are allocated on first insert, like :class:`SpeculativeCache`'s.
+    """
 
     def __init__(self, n_lines: int, ways: int) -> None:
         self.ways = ways
         self.n_sets = max(1, n_lines // ways)
-        self._sets: List[Dict[int, int]] = [dict() for _ in range(self.n_sets)]
+        self._sets: Dict[int, Dict[int, int]] = {}
         self._clock = 0
 
     def contains(self, line: int, touch: bool = True) -> bool:
-        bucket = self._sets[line % self.n_sets]
-        if line not in bucket:
+        bucket = self._sets.get(line % self.n_sets)
+        if bucket is None or line not in bucket:
             return False
         if touch:
             self._clock += 1
@@ -63,7 +66,10 @@ class _TagFilter:
         return True
 
     def insert(self, line: int) -> None:
-        bucket = self._sets[line % self.n_sets]
+        index = line % self.n_sets
+        bucket = self._sets.get(index)
+        if bucket is None:
+            bucket = self._sets[index] = {}
         self._clock += 1
         if line not in bucket and len(bucket) >= self.ways:
             victim = min(bucket, key=bucket.get)
@@ -71,11 +77,12 @@ class _TagFilter:
         bucket[line] = self._clock
 
     def invalidate(self, line: int) -> None:
-        self._sets[line % self.n_sets].pop(line, None)
+        bucket = self._sets.get(line % self.n_sets)
+        if bucket is not None:
+            bucket.pop(line, None)
 
     def clear(self) -> None:
-        for bucket in self._sets:
-            bucket.clear()
+        self._sets.clear()
 
 
 class PrivateHierarchy:

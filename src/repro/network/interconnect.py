@@ -17,16 +17,20 @@ differential testing.
 
 Jitter comes from an instance-owned generator, never the module-global
 ``random`` state: a per-interconnect ``random.Random(seed)`` Mersenne
-Twister stream, drawn via a bound ``_randbelow`` — the exact value
-sequence the original per-packet ``randint`` produced, minus two layers
-of call overhead.
+Twister stream, drawn with an inline ``getrandbits`` rejection loop,
+bit-identical to ``randint(0, jitter)`` on the same stream.
+
+``send`` and ``multicast`` are the hot path of every run (a 32-CPU run
+sends tens of thousands of packets).  Both go through one loop,
+``Interconnect._emit``, which computes hop count, egress, wire time,
+jitter and the traffic counters inline.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from random import Random
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.network.message import HEADER_BYTES, TRAFFIC_CLASSES, Packet
 from repro.network.topology import MeshTopology
@@ -40,45 +44,19 @@ _OVERHEAD = _CLASS_INDEX["overhead"]
 class TrafficStats:
     """Byte counters by class and by receiving node (Figure 9's inputs).
 
-    Counters are fixed-index lists on the hot path; the dict views the
-    analysis layer reads (:attr:`bytes_by_class`, :attr:`bytes_into_node`,
+    Counters are fixed-index lists that :class:`Interconnect` bumps on
+    the hot path; the dict views the analysis layer reads
+    (:attr:`bytes_by_class`, :attr:`bytes_into_node`,
     :attr:`bytes_out_of_node`) are built on demand.
     """
 
-    __slots__ = ("_by_class", "_into", "_out", "packets", "total_hop_cycles")
+    __slots__ = ("_by_class", "_into", "_out", "packets")
 
     def __init__(self, n_nodes: int = 0) -> None:
         self._by_class: List[int] = [0] * len(TRAFFIC_CLASSES)
         self._into: List[int] = [0] * n_nodes
         self._out: List[int] = [0] * n_nodes
         self.packets = 0
-        self.total_hop_cycles = 0
-
-    def _grow(self, node: int) -> None:
-        pad = node + 1 - len(self._into)
-        if pad > 0:
-            self._into.extend([0] * pad)
-            self._out.extend([0] * pad)
-
-    def record(self, packet: Packet, hop_cycles: int) -> None:
-        self.packets += 1
-        by_class = self._by_class
-        by_class[_CLASS_INDEX[packet.traffic_class]] += packet.payload_bytes
-        by_class[_OVERHEAD] += HEADER_BYTES
-        total = packet.payload_bytes + HEADER_BYTES
-        if packet.dst >= len(self._into) or packet.src >= len(self._into):
-            self._grow(max(packet.dst, packet.src))
-        self._into[packet.dst] += total
-        self._out[packet.src] += total
-        self.total_hop_cycles += hop_cycles
-
-    def record_replica(self, packet: Packet) -> None:
-        """A fabric-replicated multicast copy: one route byte of overhead."""
-        self.packets += 1
-        self._by_class[_OVERHEAD] += 1
-        if packet.dst >= len(self._into):
-            self._grow(packet.dst)
-        self._into[packet.dst] += 1
 
     @property
     def bytes_by_class(self) -> Dict[str, int]:
@@ -127,6 +105,7 @@ class Interconnect:
         link_contention: bool = False,
     ) -> None:
         self.engine = engine
+        self.n_nodes = n_nodes
         self.topology = MeshTopology(n_nodes)
         self.link_latency = link_latency
         self.router_latency = router_latency
@@ -135,13 +114,12 @@ class Interconnect:
         self.ordered = ordered
         self.jitter = jitter if not ordered else 0
         self._rng = Random(seed)
-        # randint(0, j) == _randbelow(j + 1) on the same Mersenne Twister
-        # stream; binding it skips the randint/randrange wrappers while
-        # producing bit-identical draws.
-        self._draw = getattr(
-            self._rng, "_randbelow", None
-        ) or (lambda n: self._rng.randrange(n))
-        self._handlers: Dict[int, Handler] = {}
+        # randint(0, j) draws getrandbits(k) with k = (j + 1).bit_length()
+        # until the value is <= j; _emit() runs that loop inline.
+        self._getrandbits = self._rng.getrandbits
+        self._jitter_bits = (self.jitter + 1).bit_length()
+        self._hops = self.topology.hop_table
+        self._handlers: List[Optional[Handler]] = [None] * n_nodes
         self._egress_free_at: List[int] = [0] * n_nodes
         self.link_contention = link_contention
         self._link_free_at: Dict[tuple, int] = defaultdict(int)
@@ -155,9 +133,14 @@ class Interconnect:
 
     def register(self, node: int, handler: Handler) -> None:
         """Attach the node's message handler (its communication assist)."""
-        if node in self._handlers:
+        self._check(node)
+        if self._handlers[node] is not None:
             raise ValueError(f"node {node} already registered")
         self._handlers[node] = handler
+
+    def _check(self, node: int) -> None:
+        if not 0 <= node < self.n_nodes:
+            raise ValueError(f"node {node} outside [0, {self.n_nodes})")
 
     # -- timing -----------------------------------------------------------
 
@@ -166,9 +149,15 @@ class Interconnect:
         hops = self.topology.hops(src, dst)
         if hops == 0:
             return self.local_latency
-        cycles = hops * self.link_latency + self.router_latency
-        if self.link_bytes_per_cycle:
-            cycles += (total_bytes + self.link_bytes_per_cycle - 1) // self.link_bytes_per_cycle
+        return hops * self.link_latency + self._wire_cycles(total_bytes)
+
+    def _wire_cycles(self, total_bytes: int) -> int:
+        """Router overhead plus serialization of a ``total_bytes`` packet:
+        the hop-independent part of a remote packet's wire time."""
+        cycles = self.router_latency
+        bandwidth = self.link_bytes_per_cycle
+        if bandwidth:
+            cycles += (total_bytes + bandwidth - 1) // bandwidth
         return cycles
 
     def _contended_transit(
@@ -206,52 +195,9 @@ class Interconnect:
         payload: Any,
         payload_bytes: int,
         traffic_class: str,
-        replica: bool = False,
     ) -> Packet:
-        """Dispatch a packet; the destination handler runs at delivery time.
-
-        ``replica`` marks in-fabric copies of a multicast: they are
-        delivered normally but charged only a route byte (the routers
-        replicate the flit; it is not re-injected at the source).
-        """
-        packet = Packet(src, dst, payload, payload_bytes, traffic_class)
-        engine = self.engine
-        now = engine.now
-        packet.send_time = now
-        total_bytes = payload_bytes + HEADER_BYTES
-        bandwidth = self.link_bytes_per_cycle
-        hops = self.topology.hops(src, dst)
-        # Egress serialization: a node injects one packet at a time.
-        if replica or not bandwidth:
-            delay = 0
-        else:
-            free_at = self._egress_free_at[src]
-            if free_at < now:
-                free_at = now
-            self._egress_free_at[src] = (
-                free_at + (total_bytes + bandwidth - 1) // bandwidth
-            )
-            delay = free_at - now
-        if self.link_contention and src != dst:
-            delay += self._contended_transit(src, dst, total_bytes, delay)
-        elif hops == 0:
-            delay += self.local_latency
-        else:
-            delay += hops * self.link_latency + self.router_latency
-            if bandwidth:
-                delay += (total_bytes + bandwidth - 1) // bandwidth
-        if self.jitter:
-            delay += self._draw(self.jitter + 1)
-        packet.deliver_time = now + delay
-        if replica:
-            self.stats.record_replica(packet)
-        else:
-            self.stats.record(packet, hops * self.link_latency)
-        if self.fault_injector is None:
-            engine.schedule_call(delay, self._deliver, packet)
-        else:
-            self.fault_injector.dispatch(engine, self._deliver, packet, delay)
-        return packet
+        """Dispatch a packet; the destination handler runs at delivery time."""
+        return self._emit(src, (dst,), payload, payload_bytes, traffic_class)
 
     def multicast(
         self,
@@ -267,17 +213,100 @@ class Interconnect:
         One full packet is injected and charged; the fabric replicates it
         toward the remaining destinations, each copy costing only a route
         byte of overhead.  Every destination still receives its own
-        delivery with an independent latency.
+        delivery with an independent latency.  Copies are sent, and draw
+        jitter, in ``dsts`` order.
         """
-        count = 0
+        dsts = tuple(dsts)
+        if dsts:
+            self._emit(src, dsts, payload, payload_bytes, traffic_class)
+        return len(dsts)
+
+    def _emit(
+        self,
+        src: int,
+        dsts: Tuple[int, ...],
+        payload: Any,
+        payload_bytes: int,
+        traffic_class: str,
+    ) -> Packet:
+        """Inject one packet at ``src`` and deliver a copy to each of
+        ``dsts``; returns the last copy.
+
+        The first copy waits for the egress port and is charged its full
+        header and payload.  The rest are in-fabric replicas: no egress
+        wait, one route byte each (the routers replicate the flit; it is
+        not re-injected at the source).
+        """
+        n_nodes = self.n_nodes
+        if not 0 <= src < n_nodes:
+            self._check(src)
+        engine = self.engine
+        now = engine.now
+        stats = self.stats
+        by_class = stats._by_class
+        into = stats._into
+        row = self._hops[src]
+        total_bytes = payload_bytes + HEADER_BYTES
+        bandwidth = self.link_bytes_per_cycle
+        wire = self._wire_cycles(total_bytes)
+        # Egress serialization: a node injects one packet at a time.
+        if bandwidth:
+            free_at = self._egress_free_at[src]
+            if free_at < now:
+                free_at = now
+            self._egress_free_at[src] = (
+                free_at + (total_bytes + bandwidth - 1) // bandwidth
+            )
+            egress = free_at - now
+        else:
+            egress = 0
+        link_latency = self.link_latency
+        contention = self.link_contention
+        jitter = self.jitter
+        getrandbits = self._getrandbits
+        bits = self._jitter_bits
+        injector = self.fault_injector
+        deliver = self._deliver
+        first = True
         for dst in dsts:
-            self.send(src, dst, payload, payload_bytes, traffic_class,
-                      replica=count > 0)
-            count += 1
-        return count
+            if not 0 <= dst < n_nodes:
+                self._check(dst)
+            packet = Packet(src, dst, payload, payload_bytes, traffic_class,
+                            now, 0, stats.packets + 1)
+            stats.packets = packet.packet_id
+            hops = row[dst]
+            if contention and src != dst:
+                delay = egress + self._contended_transit(
+                    src, dst, total_bytes, egress
+                )
+            elif hops == 0:
+                delay = egress + self.local_latency
+            else:
+                delay = egress + hops * link_latency + wire
+            if jitter:
+                draw = getrandbits(bits)
+                while draw > jitter:
+                    draw = getrandbits(bits)
+                delay += draw
+            packet.deliver_time = now + delay
+            if first:
+                by_class[_CLASS_INDEX[traffic_class]] += payload_bytes
+                by_class[_OVERHEAD] += HEADER_BYTES
+                into[dst] += total_bytes
+                stats._out[src] += total_bytes
+                first = False
+                egress = 0
+            else:
+                by_class[_OVERHEAD] += 1
+                into[dst] += 1
+            if injector is None:
+                engine.schedule_call(delay, deliver, packet)
+            else:
+                injector.dispatch(engine, deliver, packet, delay)
+        return packet
 
     def _deliver(self, packet: Packet) -> None:
-        handler = self._handlers.get(packet.dst)
+        handler = self._handlers[packet.dst]
         if handler is None:
             raise RuntimeError(f"packet to unregistered node {packet.dst}: {packet!r}")
         handler(packet)

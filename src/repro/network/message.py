@@ -15,7 +15,6 @@ traffic classes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 CLASS_COMMIT = "commit"
@@ -29,33 +28,39 @@ TRAFFIC_CLASSES = (CLASS_COMMIT, CLASS_MISS, CLASS_WRITEBACK, CLASS_OVERHEAD)
 #: conventional flit-header allowance used in DSM studies.
 HEADER_BYTES = 8
 
-_packet_counter = 0
-
-
-def _next_packet_id() -> int:
-    global _packet_counter
-    _packet_counter += 1
-    return _packet_counter
-
-
-@dataclass(slots=True)
 class Packet:
-    """One message in flight on the interconnect."""
+    """One message in flight on the interconnect.
 
-    src: int
-    dst: int
-    payload: Any
-    payload_bytes: int
-    traffic_class: str
-    send_time: int = 0
-    deliver_time: int = 0
-    packet_id: int = field(default_factory=_next_packet_id)
+    ``packet_id`` numbers the packets one :class:`Interconnect` sent, from
+    1, so ids depend only on that machine's own traffic.
+    """
 
-    def __post_init__(self) -> None:
-        if self.traffic_class not in TRAFFIC_CLASSES:
-            raise ValueError(f"unknown traffic class {self.traffic_class!r}")
-        if self.payload_bytes < 0:
+    __slots__ = ("src", "dst", "payload", "payload_bytes", "traffic_class",
+                 "send_time", "deliver_time", "packet_id")
+
+    def __init__(
+        self,
+        src: int,
+        dst: int,
+        payload: Any,
+        payload_bytes: int,
+        traffic_class: str,
+        send_time: int = 0,
+        deliver_time: int = 0,
+        packet_id: int = 0,
+    ) -> None:
+        if traffic_class not in TRAFFIC_CLASSES:
+            raise ValueError(f"unknown traffic class {traffic_class!r}")
+        if payload_bytes < 0:
             raise ValueError("payload size cannot be negative")
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.payload_bytes = payload_bytes
+        self.traffic_class = traffic_class
+        self.send_time = send_time
+        self.deliver_time = deliver_time
+        self.packet_id = packet_id
 
     @property
     def total_bytes(self) -> int:
@@ -64,3 +69,7 @@ class Packet:
     @property
     def latency(self) -> int:
         return self.deliver_time - self.send_time
+
+    def __repr__(self) -> str:
+        return (f"Packet(#{self.packet_id} {self.src}->{self.dst} "
+                f"{self.payload!r}, {self.payload_bytes}B {self.traffic_class})")

@@ -25,12 +25,13 @@ class MeshTopology:
         self.n_nodes = n_nodes
         self.cols = self._best_cols(n_nodes)
         self.rows = math.ceil(n_nodes / self.cols)
-        # Hop counts are pure Manhattan distance, so the full n x n table
-        # is tiny (64 nodes -> 4096 ints) and kills two divmods plus four
-        # abs/compare ops per packet on the send path.
+        #: ``hop_table[src][dst]``: hop counts are pure Manhattan distance,
+        #: so the full n x n table is tiny (64 nodes -> 4096 ints) and
+        #: saves the send path two divmods and four abs/compares per
+        #: packet.  Read-only.
         cols = self.cols
         coords = [divmod(node, cols) for node in range(n_nodes)]
-        self._hop_table: List[List[int]] = [
+        self.hop_table: List[List[int]] = [
             [abs(ra - rb) + abs(ca - cb) for (rb, cb) in coords]
             for (ra, ca) in coords
         ]
@@ -56,7 +57,7 @@ class MeshTopology:
     def hops(self, src: int, dst: int) -> int:
         """Manhattan distance — the link traversals of an XY-routed packet."""
         if 0 <= src < self.n_nodes and 0 <= dst < self.n_nodes:
-            return self._hop_table[src][dst]
+            return self.hop_table[src][dst]
         self._check(src)
         self._check(dst)
         raise AssertionError("unreachable")  # pragma: no cover
@@ -72,7 +73,7 @@ class MeshTopology:
         """Mean hop count over all ordered pairs of distinct nodes."""
         if self.n_nodes == 1:
             return 0.0
-        total = sum(sum(row) for row in self._hop_table)
+        total = sum(sum(row) for row in self.hop_table)
         return total / (self.n_nodes * (self.n_nodes - 1))
 
     def neighbors(self, node: int) -> List[int]:

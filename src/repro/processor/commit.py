@@ -45,7 +45,7 @@ from repro.core.messages import (
     TidRequest,
 )
 from repro.faults.retry import AckTracker, Retrier
-from repro.sim import Event
+from repro.sim import PARK
 
 
 class CommitEngine:
@@ -68,8 +68,7 @@ class CommitEngine:
     def acquire_tid(self):
         """Fetch a TID from the global vendor (a network round trip)."""
         proc = self.proc
-        event = Event(proc.engine)
-        proc._tid_event = event
+        proc._tid_waiting = True
         if proc._hardened:
             # Sequenced request: the vendor dedups retries by (node, seq),
             # so resending after a drop never mints a second TID.
@@ -80,11 +79,11 @@ class CommitEngine:
                 lambda: proc._send(
                     proc.config.tid_vendor_node, TidRequest(proc.node, seq)
                 ),
-                lambda: event.fired,
+                lambda: proc._tid_seq != seq or not proc._tid_waiting,
             )
         else:
             proc._send(proc.config.tid_vendor_node, TidRequest(proc.node))
-        tid = yield event
+        tid = yield PARK  # resumed by the TID reply
         proc.current_tid = tid
         proc.probe_replies = {}
         proc.mark_acks = set()
@@ -143,9 +142,11 @@ class ScalableCommitEngine(CommitEngine):
             self._send_skips(tid, skip_targets)
             skips_sent = True
 
-        for directory in sorted(writing):
+        writing_order = sorted(writing)
+        sharing_only = sorted(sharing - writing)
+        for directory in writing_order:
             self._send_probe(directory, tid, True, hardened)
-        for directory in sorted(sharing - writing):
+        for directory in sharing_only:
             self._send_probe(directory, tid, False, hardened)
 
         marks_sent: Set[int] = set()
@@ -154,7 +155,7 @@ class ScalableCommitEngine(CommitEngine):
             if proc.violated:
                 yield from self._abort(writing, skips_sent, marks_sent)
                 return False
-            for directory in sorted(writing):
+            for directory in writing_order:
                 if directory in marks_sent:
                     continue
                 reply = proc.probe_replies.get((directory, True))
@@ -186,7 +187,7 @@ class ScalableCommitEngine(CommitEngine):
             writing_ready = marks_sent == writing and proc.mark_acks >= writing
             sharing_ready = all(
                 proc.probe_replies.get((directory, False), -1) >= tid
-                for directory in sharing - writing
+                for directory in sharing_only
             )
             if writing_ready and sharing_ready:
                 break
@@ -198,7 +199,7 @@ class ScalableCommitEngine(CommitEngine):
         ack_start = proc.engine.now
         if not skips_sent:
             self._send_skips(tid, skip_targets)
-        for directory in sorted(writing):
+        for directory in writing_order:
             commit_msg = CommitMsg(proc.node, tid, attempt)
             proc._send(directory, commit_msg)
             if hardened:

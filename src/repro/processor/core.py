@@ -40,7 +40,7 @@ from repro.faults.retry import Retrier
 from repro.memory.address import AddressMap
 from repro.memory.hierarchy import FLUSH_FIRST, PrivateHierarchy
 from repro.network.interconnect import Interconnect
-from repro.sim import Engine, Event, Process, Timeout
+from repro.sim import PARK, Engine, Process
 from repro.processor.stats import ProcessorStats
 from repro.verify.serializability import CommitRecord
 from repro.workloads.base import BARRIER, Transaction, TransactionSchedule
@@ -106,16 +106,21 @@ class TCCProcessor:
         # Flush-data requests deferred until the local commit completes
         self._deferred_flushes: List[FlushRequest] = []
 
-        # Outstanding load state (single outstanding load: blocking core)
+        # Outstanding load state (single outstanding load: blocking core).
+        # ``_load_line`` is None exactly when no load is outstanding.
         self._load_seq = 0
-        self._load_event: Optional[Event] = None
+        self._fetches = 0  # remote fetches issued, to tell them apart
         self._load_line: Optional[int] = None
         self._load_home: Optional[int] = None
         self._load_poisoned = False
 
-        # Commit-engine notification state
-        self._wakeup: Optional[Event] = None
-        self._tid_event: Optional[Event] = None
+        # The processor's coroutine parks (``yield PARK``) on a load, a
+        # TID request or a commit-engine wait; the matching handler
+        # resumes it.  At most one of these flags is set at a time, and
+        # ``Process.resume`` raises if a second wake-up slips through.
+        self._process: Optional[Process] = None
+        self._waiting = False
+        self._tid_waiting = False
         self.probe_replies: Dict[Tuple[int, bool], int] = {}
         self.mark_acks: set[int] = set()
         self.commit_acks: set[int] = set()
@@ -182,23 +187,22 @@ class TCCProcessor:
                 )
 
     def _on_tid_reply(self, msg: TidReply) -> None:
-        event = self._tid_event
         if self._hardened and msg.seq != self._tid_seq:
             # A delayed reply to an *earlier*, retried request arriving
             # after its transaction already got (and resolved) that TID.
-            # Consuming it here would hijack the current request's event
-            # with a dead TID; the current reply carries the current seq.
+            # Consuming it here would hand the current request a dead
+            # TID; the current reply carries the current seq.
             self._count_stale()
             return
-        if event is None:
+        if not self._tid_waiting:
             if self._hardened:
                 # Duplicate of an already-consumed reply (vendor dedup
                 # guarantees a retried request carries the same TID).
                 self._count_stale()
                 return
             raise ProcessorProtocolError(f"cpu {self.node}: unsolicited TID {msg.tid}")
-        self._tid_event = None
-        event.fire(msg.tid)
+        self._tid_waiting = False
+        self._process.resume(msg.tid)
 
     def _count_stale(self) -> None:
         if self.fault_stats is not None:
@@ -212,7 +216,7 @@ class TCCProcessor:
         self._notify()
 
     def _on_load_reply(self, msg: LoadReply) -> None:
-        if self._load_event is None or msg.seq != self._load_seq:
+        if self._load_line is None or msg.seq != self._load_seq:
             return  # stale (e.g. a dropped/retried load)
         if self._load_poisoned:
             # An invalidation for this line raced past the reply: the data
@@ -235,8 +239,6 @@ class TCCProcessor:
                 ),
             )
             return
-        event = self._load_event
-        self._load_event = None
         self._load_line = None
         # Install the line *now*, atomically with reply processing: an
         # invalidation delivered after this instant sees the cached line
@@ -244,7 +246,7 @@ class TCCProcessor:
         # Leaving the fill to the resumed process would open a window
         # where the invalidation sees neither.
         self._fill(msg.line, msg.data)
-        event.fire(None)
+        self._process.resume()
 
     # -- invalidations --------------------------------------------------
 
@@ -385,17 +387,16 @@ class TCCProcessor:
     # wakeup plumbing for the commit engine
     # ------------------------------------------------------------------
 
-    def wait(self) -> Event:
-        """An event the commit engine can yield; fired by any relevant
-        message arrival or violation."""
-        self._wakeup = Event(self.engine)
-        return self._wakeup
+    def wait(self):
+        """Park for the commit engine (``yield proc.wait()``) until the
+        next relevant message arrival or violation."""
+        self._waiting = True
+        return PARK
 
     def _notify(self) -> None:
-        wakeup = self._wakeup
-        if wakeup is not None and not wakeup.fired:
-            self._wakeup = None
-            wakeup.fire()
+        if self._waiting:
+            self._waiting = False
+            self._process.resume()
 
     # ------------------------------------------------------------------
     # outgoing
@@ -412,42 +413,42 @@ class TCCProcessor:
     # ------------------------------------------------------------------
 
     def process_for(self, schedule: TransactionSchedule) -> Process:
-        return Process(self.engine, self._run(schedule), name=f"cpu{self.node}")
+        self._process = Process(self.engine, self._run(schedule),
+                                name=f"cpu{self.node}")
+        return self._process
 
     def _run(self, schedule: TransactionSchedule):
         for item in schedule:
             if item is BARRIER:
-                yield from self._flush_local()
+                if cycles := self._take_local_cycles():
+                    yield cycles
                 arrived = self.engine.now
                 yield self.system.barrier.wait()
                 self.stats.idle_cycles += self.engine.now - arrived
             else:
-                yield from self._execute(item)
-        yield from self._flush_local()
+                while not (yield from self._attempt(item)):
+                    pass
+        if cycles := self._take_local_cycles():
+            yield cycles
         self.finished = True
         self.finished_at = self.engine.now
         return self.stats
 
-    def _flush_local(self):
-        """Turn accumulated compute/hit cycles into simulated time."""
-        if self._local_cycles:
-            cycles = self._local_cycles
+    def _take_local_cycles(self) -> int:
+        """Accumulated compute/hit cycles, to be slept off now with
+        ``yield cycles`` before a remote operation (0: nothing to do)."""
+        cycles = self._local_cycles
+        if cycles:
             self._local_cycles = 0
             self._attempt_useful += cycles
-            yield Timeout(self.engine, cycles)
-
-    def _execute(self, tx: Transaction):
-        while True:
-            committed = yield from self._attempt(tx)
-            if committed:
-                return
+        return cycles
 
     def _attempt(self, tx: Transaction):
         injector = self.fault_injector
         if injector is not None and injector.has_cpu_pauses:
             pause = injector.cpu_pause(self.node, self.engine.now)
             if pause:
-                yield Timeout(self.engine, pause)
+                yield pause
         self._attempt_id += 1
         self.violated = False
         self.validated = False
@@ -478,7 +479,8 @@ class TCCProcessor:
                     yield from self._do_store(op[1], value + op[2])
             if self.violated:
                 break
-        yield from self._flush_local()
+        if cycles := self._take_local_cycles():
+            yield cycles
 
         if not self.violated:
             commit_start = self.engine.now
@@ -595,11 +597,12 @@ class TCCProcessor:
                 return
 
     def _remote_fetch(self, line: int):
-        yield from self._flush_local()
+        if cycles := self._take_local_cycles():
+            yield cycles
         started = self.engine.now
         home = self.mapping.touch(line, self.node)
         self._load_seq += 1
-        self._load_event = Event(self.engine)
+        self._fetches += 1
         self._load_line = line
         self._load_home = home
         self._load_poisoned = False
@@ -610,7 +613,7 @@ class TCCProcessor:
         if self._hardened:
             # End-to-end load retry: re-send with the *current* seq so a
             # poison-retry (which bumps the seq itself) is not raced.
-            event = self._load_event
+            fetch = self._fetches
 
             def resend() -> None:
                 self._send(
@@ -619,11 +622,12 @@ class TCCProcessor:
                 )
 
             Retrier(
-                self.engine, resend, lambda: event.fired,
+                self.engine, resend,
+                lambda: self._fetches != fetch or self._load_line is None,
                 self.config.retry_timeout, self.config.retry_backoff,
                 self.config.retry_timeout_cap, self.fault_stats,
             )
-        yield self._load_event  # the reply handler fills the cache
+        yield PARK  # the reply handler fills the cache and resumes us
         self._attempt_miss += self.engine.now - started
 
     def _fill(self, line: int, data: List[int]) -> None:
@@ -645,12 +649,7 @@ class TCCProcessor:
 
     def drain_dirty_lines(self) -> int:
         """Write every committed-dirty line home (for final-state checks)."""
-        dirty = [
-            entry.line
-            for bucket in self.hierarchy.l2._sets
-            for entry in bucket.values()
-            if entry.dirty
-        ]
+        dirty = [entry.line for entry in self.hierarchy.l2.lines() if entry.dirty]
         for line in dirty:
             words = self.hierarchy.extract_for_writeback(line)
             if words:

@@ -2,10 +2,8 @@
 
 The queue is two structures behind one deterministic ordering:
 
-* a plain FIFO for zero-delay work — the majority of scheduling in the
-  TCC model (event fan-out, process wakeups, directory hops) happens at
-  the current cycle, and a deque append/popleft is far cheaper than a
-  heap push/pop;
+* a plain FIFO for zero-delay work (process wake-ups, event fan-out),
+  where a deque append/popleft is far cheaper than a heap push/pop;
 * a heapq of ``(cycle, seq, fn, arg)`` for every positive delay.
 
 Execution order is exactly the classic ``(cycle, seq)`` order of a
@@ -36,6 +34,8 @@ class _NoValue:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<no value>"
 
+
+_heappush = heapq.heappush
 
 #: Sentinel meaning "call the function with no argument".  Lets hot
 #: paths schedule bound methods plus one argument without allocating a
@@ -81,14 +81,14 @@ class Engine:
     ) -> None:
         """Like :meth:`schedule`, but runs ``fn(arg)`` (or ``fn()`` when
         ``arg`` is omitted) without a per-event closure."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay} cycles in the past")
-        delay = int(delay)
-        self._seq += 1
-        if delay == 0:
+        if delay >= 1:
+            self._seq += 1
+            _heappush(self._heap, (self._now + int(delay), self._seq, fn, arg))
+        elif delay >= 0:
+            self._seq += 1
             self._fifo.append((fn, arg))
         else:
-            heapq.heappush(self._heap, (self._now + delay, self._seq, fn, arg))
+            raise SimulationError(f"cannot schedule {delay} cycles in the past")
 
     def schedule_many(
         self, delay: int, fns: Iterable[Callable], arg: Any = _NO_VALUE

@@ -59,7 +59,10 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed delay — ``yield Timeout(engine, n)``."""
+    """An event that fires after a fixed delay — ``yield Timeout(engine, n)``.
+
+    A process that only needs to sleep yields the ``int`` ``n`` instead,
+    which costs one engine event and no :class:`Event`."""
 
     __slots__ = ()
 

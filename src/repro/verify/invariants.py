@@ -59,24 +59,23 @@ def check_system_invariants(system, strict_sharers: bool = True) -> None:
 
 def _check_caches(system, problems: List[str]) -> None:
     for proc in system.processors:
-        for bucket in proc.hierarchy.l2._sets:
-            for entry in bucket.values():
-                if entry.sr_mask & ~entry.valid_mask:
-                    problems.append(
-                        f"I3: P{proc.node} line {entry.line}: SR bits on "
-                        f"invalid words ({entry.sr_mask:#x} vs valid "
-                        f"{entry.valid_mask:#x})"
-                    )
-                if entry.sm_mask & ~entry.valid_mask:
-                    problems.append(
-                        f"I3: P{proc.node} line {entry.line}: SM bits on "
-                        f"invalid words"
-                    )
-                if entry.sm_mask and entry.dirty:
-                    problems.append(
-                        f"I3: P{proc.node} line {entry.line}: dirty with SM "
-                        f"(flush-before-speculation rule broken)"
-                    )
+        for entry in proc.hierarchy.l2.lines():
+            if entry.sr_mask & ~entry.valid_mask:
+                problems.append(
+                    f"I3: P{proc.node} line {entry.line}: SR bits on "
+                    f"invalid words ({entry.sr_mask:#x} vs valid "
+                    f"{entry.valid_mask:#x})"
+                )
+            if entry.sm_mask & ~entry.valid_mask:
+                problems.append(
+                    f"I3: P{proc.node} line {entry.line}: SM bits on "
+                    f"invalid words"
+                )
+            if entry.sm_mask and entry.dirty:
+                problems.append(
+                    f"I3: P{proc.node} line {entry.line}: dirty with SM "
+                    f"(flush-before-speculation rule broken)"
+                )
 
 
 def _check_directories(system, problems: List[str]) -> None:
@@ -104,14 +103,13 @@ def _check_directories(system, problems: List[str]) -> None:
 
 def _check_sharer_coverage(system, problems: List[str]) -> None:
     for proc in system.processors:
-        for bucket in proc.hierarchy.l2._sets:
-            for entry in bucket.values():
-                if not entry.valid_mask:
-                    continue
-                home = system.mapping.home(entry.line)
-                dir_entry = system.directories[home].state.peek(entry.line)
-                if dir_entry is None or proc.node not in dir_entry.sharers:
-                    problems.append(
-                        f"I2: P{proc.node} caches line {entry.line} but is "
-                        f"not a sharer at dir {home}"
-                    )
+        for entry in proc.hierarchy.l2.lines():
+            if not entry.valid_mask:
+                continue
+            home = system.mapping.home(entry.line)
+            dir_entry = system.directories[home].state.peek(entry.line)
+            if dir_entry is None or proc.node not in dir_entry.sharers:
+                problems.append(
+                    f"I2: P{proc.node} caches line {entry.line} but is "
+                    f"not a sharer at dir {home}"
+                )

@@ -2,7 +2,9 @@
 
 Every performance optimisation or simplification of the simulator kernel
 (same-cycle FIFO, callback-driven directory server, memoized routing,
-cached scan orders) is required to preserve exact event ordering.  This test pins that contract: running
+cached scan orders) is required to preserve exact event ordering, or
+to move it once, on purpose, with the oracle and chaos campaigns as
+evidence (see the re-pin notes on ``_PINNED``).  This test pins that contract: running
 the same seeded workload twice — in fresh systems — must reproduce the
 cycle count, commit/violation totals, and traffic byte counts exactly.
 """
@@ -52,10 +54,19 @@ def test_different_seeds_differ():
 # iteration in the commit engine and directory with sorted() — a
 # deliberate, reviewed event-order change that removes the last
 # dependence on hash-table layout.
+#
+# Re-pinned again (cycles 29,208 -> 29,211 and 11,307 -> 11,299) when
+# each directory message came to cost one engine event instead of
+# three (service starts where the message arrives; the handler and the
+# next message's start run in the service timer's callback) and a
+# processor's compute sleep became one `yield cycles` event instead of
+# a `Timeout` plus its fan-out.  The modelled latencies are unchanged;
+# only the order of same-cycle events moved, which the oracle and
+# chaos campaigns checked.
 _PINNED = {
-    8: dict(cycles=29_208, committed=64, violations=0,
+    8: dict(cycles=29_211, committed=64, violations=0,
             instructions=121_032, traffic_bytes=68_681, packets=3_120),
-    32: dict(cycles=11_307, committed=64, violations=1,
+    32: dict(cycles=11_299, committed=64, violations=1,
              instructions=126_353, traffic_bytes=75_583, packets=4_864),
 }
 

@@ -394,6 +394,34 @@ def test_released_stalled_load_pays_occupancy_again(rig):
     assert len(rig.of_type(2, m.LoadReply)) == 1
 
 
+def test_one_engine_event_per_message(rig):
+    latency = rig.config.directory_latency
+    for tid in range(1, 6):
+        rig.dir.deliver(m.SkipMsg(tid=tid))
+    rig.run()
+    # Service starts where the message arrives; the handler and the next
+    # message's start share the service timer's callback.
+    assert rig.engine.events_executed == 5
+    assert rig.engine.now == 5 * latency
+    assert rig.dir.nstid == 6
+
+
+def test_zero_latency_queue_served_fifo_without_recursion():
+    rig = Rig(directory_latency=0)
+    # A dark window at cycle 0 lets a long queue build behind the first
+    # message; when it ends, every message takes no cycles.
+    plan = FaultPlan(node_faults=(NodeFault("dir_stall", 0, 0, 50),))
+    rig.dir.fault_injector = FaultInjector(plan, 4)
+    n = 2000
+    for seq in range(n):
+        rig.dir.deliver(m.LoadRequest(requester=1, line=seq, seq=seq))
+    rig.run()
+    replies = rig.of_type(1, m.LoadReply)
+    assert [reply.seq for reply in replies] == list(range(n))
+    assert rig.dir.stats.loads_served == n
+    assert rig.dir.stats.busy_cycles == 0
+
+
 # ----------------------------------------------------------------------
 # NSTID gap handling and hardened-protocol stale/duplicate paths
 # ----------------------------------------------------------------------

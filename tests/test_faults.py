@@ -101,6 +101,25 @@ def test_rule_matching_filters():
     assert not rule.matches(0, 1, "commit", 200)
 
 
+@pytest.mark.parametrize("filter_kwargs", [
+    {"traffic_classes": ("commit",)},
+    {"src_nodes": (0,)},
+    {"dst_nodes": (1,)},
+    {"start_cycle": 100},
+    {"end_cycle": 200},
+])
+def test_any_filter_marks_a_rule_filtered(filter_kwargs):
+    assert PacketFault("drop", 0.5, **filter_kwargs).filtered
+    assert not PacketFault("drop", 0.5, delay=7).filtered
+
+
+def test_an_unfiltered_rule_matches_every_packet():
+    rule = PacketFault("delay", 0.3, delay=9)
+    assert not rule.filtered
+    for src, dst, cls, now in ((0, 1, "commit", 0), (5, 2, "miss", 10**6)):
+        assert rule.matches(src, dst, cls, now)
+
+
 # ----------------------------------------------------------------------
 # injector actions
 # ----------------------------------------------------------------------

@@ -231,3 +231,25 @@ def test_hit_rate(amap):
     cache.read(9, 0)
     assert cache.stats.hit_rate == 0.5
     assert cache.stats.accesses == 2
+
+
+def test_sets_are_allocated_on_first_fill(amap):
+    cache = SpeculativeCache(amap, 512 * 1024, 8)
+    assert cache.resident_lines() == 0
+    assert list(cache.lines()) == []
+    assert cache.read(5, 0) is None and not cache.contains(5)
+    assert cache.invalidate(5) is None
+    assert cache.invalidate_words(5, 0b1) is None
+    assert len(cache._sets) == 0
+    cache.fill(5, [0] * 8)
+    assert len(cache._sets) == 1
+
+
+def test_lines_walk_set_index_then_insertion_order(amap):
+    cache = small_cache(amap, ways=2, sets=4)
+    for line in (6, 1, 2, 9, 5):
+        cache.fill(line, [line] * 8)
+    # Set 2 holds 6 then 2; set 1 holds 1 and 9 until 5 evicts 1.
+    order = [(entry.line % 4, entry.line) for entry in cache.lines()]
+    assert order == sorted(order, key=lambda pair: pair[0])
+    assert [line for _, line in order] == [9, 5, 6, 2]

@@ -204,3 +204,115 @@ def test_packet_latency_property():
     engine.run()
     assert seen[0].latency == seen[0].deliver_time - seen[0].send_time
     assert seen[0].latency > 0
+
+
+def test_jitter_draws_equal_randint_on_the_same_stream():
+    import random
+
+    for jitter in (1, 2, 5, 8):
+        engine = Engine()
+        net = Interconnect(engine, 4, ordered=False, jitter=jitter, seed=11,
+                           link_bytes_per_cycle=None, link_latency=3,
+                           router_latency=1)
+        packets = [net.send(0, 1, i, 4, CLASS_COMMIT) for i in range(200)]
+        base = net.transit_cycles(0, 1, 4 + HEADER_BYTES)
+        stream = random.Random(11)
+        assert [p.latency - base for p in packets] == [
+            stream.randint(0, jitter) for _ in packets
+        ]
+
+
+def test_multicast_deliveries_and_bytes_match_the_wire_model():
+    import random
+
+    src, dsts = 5, [3, 9, 0, 5, 15, 9]
+    engine = Engine()
+    net = Interconnect(engine, 16, ordered=False, jitter=3, seed=5,
+                       link_bytes_per_cycle=8)
+    delivered = []
+    for node in range(16):
+        net.register(node, lambda pkt: delivered.append(
+            (engine.now, pkt.dst, pkt.payload)))
+    # Busy the source's egress so the first copy queues behind it.
+    before_bytes = 40 + HEADER_BYTES
+    net.send(src, 1, "before", 40, CLASS_MISS)
+    assert net.multicast(src, iter(dsts), "skip", 4, CLASS_COMMIT) == len(dsts)
+    engine.run()
+
+    stream = random.Random(5)
+    expected = [(net.transit_cycles(src, 1, before_bytes)
+                 + stream.randint(0, 3), 1, "before")]
+    egress_wait = -(-before_bytes // 8)
+    for i, dst in enumerate(dsts):
+        wait = egress_wait if i == 0 else 0
+        expected.append((wait + net.transit_cycles(src, dst, 4 + HEADER_BYTES)
+                         + stream.randint(0, 3), dst, "skip"))
+    assert sorted(delivered) == sorted(expected)
+    assert net._rng.getstate() == stream.getstate()
+
+    # The first copy is charged in full; each replica one route byte.
+    stats = net.stats
+    assert stats.packets == 1 + len(dsts)
+    assert stats.bytes_by_class[CLASS_MISS] == 40
+    assert stats.bytes_by_class[CLASS_COMMIT] == 4
+    assert stats.bytes_by_class["overhead"] == 2 * HEADER_BYTES + len(dsts) - 1
+    into = {1: before_bytes, dsts[0]: 4 + HEADER_BYTES}
+    for dst in dsts[1:]:
+        into[dst] = into.get(dst, 0) + 1
+    assert dict(stats.bytes_into_node) == into
+    assert dict(stats.bytes_out_of_node) == {
+        src: before_bytes + 4 + HEADER_BYTES
+    }
+
+
+def test_multicast_to_nobody_sends_nothing():
+    engine, net = make_net()
+    assert net.multicast(0, [], "skip", 4, CLASS_COMMIT) == 0
+    assert net.stats.packets == 0
+
+
+def test_send_to_a_node_outside_the_mesh_raises():
+    engine, net = make_net(4)
+    with pytest.raises(ValueError):
+        net.send(0, 4, None, 0, CLASS_COMMIT)
+    with pytest.raises(ValueError):
+        net.send(-1, 1, None, 0, CLASS_COMMIT)
+    with pytest.raises(ValueError):
+        net.multicast(0, [1, -1], None, 0, CLASS_COMMIT)
+
+
+def test_packet_ids_count_this_interconnects_packets():
+    engine, net = make_net()
+    net.register(1, lambda pkt: None)
+    net.register(2, lambda pkt: None)
+    first = net.send(0, 1, None, 0, CLASS_COMMIT)
+    net.multicast(0, [1, 2], None, 0, CLASS_COMMIT)
+    assert first.packet_id == 1
+    assert net.send(0, 2, None, 0, CLASS_COMMIT).packet_id == 4
+    # Another interconnect in the same process starts from 1 again.
+    _, other = make_net()
+    assert other.send(0, 1, None, 0, CLASS_COMMIT).packet_id == 1
+
+
+def test_identical_systems_in_one_process_see_identical_packet_ids():
+    from repro import ScalableTCCSystem, SystemConfig
+    from repro.workloads.micro import CounterWorkload
+
+    def packet_trace():
+        system = ScalableTCCSystem(SystemConfig(n_processors=4, seed=3))
+        network = system.network
+        deliver = network._deliver
+        seen = []
+
+        def recording(packet):
+            seen.append((system.engine.now, packet.packet_id, packet.src,
+                         packet.dst))
+            deliver(packet)
+
+        network._deliver = recording
+        system.run(CounterWorkload(), verify=False)
+        return seen
+
+    first = packet_trace()
+    assert first and first[0][1] == 1
+    assert packet_trace() == first

@@ -1,5 +1,7 @@
 """Property-based tests of the cache/hierarchy against reference models."""
 
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -113,8 +115,8 @@ def test_cache_capacity_never_exceeded_without_speculation(lines, ways):
     cache = SpeculativeCache(AMAP, ways * 4 * 32, ways)  # 4 sets
     for line in lines:
         cache.fill(line, [0] * 8)
-    for bucket in cache._sets:
-        assert len(bucket) <= ways
+    per_set = Counter(entry.line % cache.n_sets for entry in cache.lines())
+    assert all(count <= ways for count in per_set.values())
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Engine, Event, Process, Timeout
+from repro.sim import PARK, Engine, Event, Process, Timeout
 from repro.sim.engine import SimulationError
 
 
@@ -129,14 +129,94 @@ def test_non_generator_rejected():
 
 
 def test_bad_yield_type_raises():
+    # Ints are sleeps; strings, floats and bools stay illegal.
+    for bad in ("x", 1.5, True):
+        engine = Engine()
+
+        def worker():
+            yield bad
+
+        Process(engine, worker())
+        with pytest.raises(SimulationError):
+            engine.run()
+
+
+def test_yield_int_resumes_exactly_that_many_cycles_later():
+    engine = Engine()
+    woke = []
+
+    def worker():
+        yield 5
+        woke.append(engine.now)
+        yield 0
+        woke.append(engine.now)
+
+    Process(engine, worker())
+    engine.run()
+    assert woke == [5, 5]
+    # One engine event per sleep: no Event is fired in between.
+    assert engine.events_executed == 3
+
+
+def test_yield_negative_int_raises():
     engine = Engine()
 
     def worker():
-        yield 123  # not an Event
+        yield -1
 
     Process(engine, worker())
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match="negative"):
         engine.run()
+
+
+def test_parked_process_resumes_with_value():
+    engine = Engine()
+    log = []
+
+    def worker():
+        value = yield PARK
+        log.append((engine.now, value))
+
+    proc = Process(engine, worker())
+    engine.run()
+    assert log == [] and not proc.fired
+    engine.schedule(12, lambda: proc.resume("go"))
+    engine.run()
+    assert log == [(12, "go")]
+    assert proc.fired
+
+
+@pytest.mark.parametrize("wait", ["sleep", "event", "done"])
+def test_resume_of_a_process_that_is_not_parked_raises(wait):
+    engine = Engine()
+    gate = Event(engine)
+
+    def worker():
+        if wait == "sleep":
+            yield 10
+        elif wait == "event":
+            yield gate
+
+    proc = Process(engine, worker())
+    engine.schedule(3, proc.resume)
+    with pytest.raises(SimulationError, match="not parked"):
+        engine.run()
+
+
+def test_second_resume_before_the_process_runs_raises():
+    engine = Engine()
+    log = []
+
+    def worker():
+        log.append((yield PARK))
+
+    proc = Process(engine, worker())
+    engine.run()
+    proc.resume("first")
+    with pytest.raises(SimulationError, match="not parked"):
+        proc.resume("second")
+    engine.run()
+    assert log == ["first"]
 
 
 def test_exception_in_process_propagates():
