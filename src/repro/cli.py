@@ -9,12 +9,11 @@ Usage (also ``python -m repro <command>``):
     python -m repro latency equake --hops 1,3,8 -n 32
     python -m repro traffic swim -n 64
     python -m repro sweep barnes --grid link_latency=1,3,8 --jobs 4
-    python -m repro chaos --quick
-    python -m repro chaos --cases 200 --jobs 4 --no-cache
     python -m repro conform --cases 500 --seed 0 [--faults] [--jobs 4]
+    python -m repro conform --quick --source patterns --faults --no-cache
     python -m repro lint [--format json] [--baseline FILE]
 
-Multi-run commands (``sweep``, ``chaos``, ``conform``) fan their
+Multi-run commands (``sweep``, ``conform``) fan their
 independent runs out over worker processes (``--jobs``, default: all
 cores) and memoize results in the content-addressed cache under
 ``.repro_cache/`` (``--no-cache`` to bypass); results are bit-identical
@@ -235,36 +234,6 @@ def cmd_latency(args) -> int:
     return 0
 
 
-def cmd_chaos(args) -> int:
-    from repro.faults.chaos import format_report, run_chaos
-
-    cases = 20 if args.quick else args.cases
-    if cases < 1:
-        raise SystemExit("chaos: --cases must be >= 1")
-
-    def progress(outcome):
-        if args.verbose or not outcome.ok:
-            marker = "ok  " if outcome.ok else "FAIL"
-            print(f"  {marker} seed={outcome.seed} {outcome.workload}"
-                  f"@{outcome.n_processors} {outcome.outcome} "
-                  f"cycles={outcome.cycles}")
-
-    # --quick is the CI smoke: turn on paranoid invariant checking so
-    # the 20 cases also sweep I1-I5 between engine slices.
-    paranoid = args.paranoid or args.quick
-    report = run_chaos(cases=cases, seed0=args.seed0, progress=progress,
-                       jobs=args.jobs, cache=_cache_from(args),
-                       full=args.full, paranoid=paranoid)
-    print(format_report(report))
-    if args.out:
-        import json
-
-        with open(args.out, "w") as handle:
-            json.dump(report, handle, indent=2)
-        print(f"report written to {args.out}")
-    return 0 if report["failed"] == 0 else 1
-
-
 def cmd_conform(args) -> int:
     from repro.conform.harness import format_report, run_conform
 
@@ -281,7 +250,7 @@ def cmd_conform(args) -> int:
 
     report = run_conform(
         cases=cases, seed0=args.seed0, faults=args.faults,
-        progress=progress, jobs=args.jobs, cache=_cache_from(args),
+        source=args.source, progress=progress, jobs=args.jobs, cache=_cache_from(args),
         shrink=not args.no_shrink, save_dir=args.save_failures,
     )
     print(format_report(report))
@@ -426,39 +395,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
-        "chaos",
-        help="fault-injection campaign: randomized fault plans over "
-             "high-contention workloads, full correctness checks",
-    )
-    p.add_argument("--cases", type=int, default=200,
-                   help="number of seeded cases to run (default 200)")
-    p.add_argument("--seed0", type=int, default=0,
-                   help="first case seed (case i uses seed0+i)")
-    p.add_argument("--quick", action="store_true",
-                   help="CI smoke: 20 cases, paranoid invariant checks")
-    p.add_argument("--paranoid", action="store_true",
-                   help="check machine-wide invariants (I1-I5) between "
-                        "engine slices (implied by --quick)")
-    p.add_argument("--verbose", action="store_true",
-                   help="print every case, not just failures")
-    p.add_argument("--out", metavar="FILE", default=None,
-                   help="write the JSON campaign report to FILE")
-    p.add_argument("--full", action="store_true",
-                   help="include per-case results in the JSON report "
-                        "(default: summary + failures only)")
-    _add_runner_args(p)
-    p.set_defaults(func=cmd_chaos)
-
-    p = sub.add_parser(
         "conform",
         help="differential conformance campaign: seeded random programs "
-             "run on the full machine and diffed against the reference "
-             "oracle (commit order, read witnesses, final memory)",
+             "or TM patterns run on the full machine and diffed against "
+             "the reference oracle (commit order, read witnesses, final "
+             "memory)",
     )
     p.add_argument("--cases", type=int, default=200,
                    help="number of seeded cases to run (default 200)")
     p.add_argument("--seed", dest="seed0", type=int, default=0,
                    help="first case seed (case i uses seed+i)")
+    p.add_argument("--source", choices=["program", "patterns"],
+                   default="program",
+                   help="program: seeded random programs on 2-8 CPUs "
+                        "(default); patterns: hot-counter, list-set and "
+                        "queue workloads on 4-8 CPUs, with the machine-wide "
+                        "invariants checked between engine slices")
     p.add_argument("--faults", action="store_true",
                    help="compose each case with a seeded fault plan "
                         "(drops/dups/delays/reorders + node outages)")

@@ -40,6 +40,9 @@ class ConformCaseResult:
     committed: int = 0
     violations: int = 0
     cycles: int = 0
+    #: The injector's counters (``FaultStats.as_dict()``); empty when
+    #: the case runs fault-free.
+    fault_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -57,6 +60,7 @@ class ConformCaseResult:
             "committed": self.committed,
             "violations": self.violations,
             "cycles": self.cycles,
+            "fault_stats": dict(self.fault_stats),
         }
 
 
@@ -96,4 +100,6 @@ def run_conform_case(case: ConformCase) -> ConformCaseResult:
             result.outcome = "mismatch"
             result.detail = mismatches[0].detail
             result.mismatches = [m.as_dict() for m in mismatches]
+    if system.fault_stats is not None:
+        result.fault_stats = system.fault_stats.as_dict()
     return result

@@ -1,12 +1,21 @@
-"""Seeded random transactional-program generator.
+"""Seeded campaign cases: random transactional programs and TM patterns.
 
 Case ``seed`` deterministically derives everything — machine size,
-contention profile, per-transaction footprints, the program itself, and
-(with ``faults=True``) a fault plan — so a failing case replays from its
-seed alone, and a :class:`ConformCase` is pure picklable data that a
-``JobSpec(kind="conform", seed=...)`` can name.
+the program itself, and (with ``faults=True``) a fault plan — so a
+failing case replays from its seed alone, and a :class:`ConformCase` is
+pure picklable data that a ``JobSpec(kind="conform", seed=...)`` can
+name.  Two *sources* supply the program:
 
-The contention knobs are the interesting part.  Each case draws:
+* ``program`` — :func:`generate_program`'s random programs with
+  contention knobs, on 2-8 processors;
+* ``patterns`` — :func:`pattern_program`: one of three classic TM
+  data-structure workloads (a hot counter, a sorted-list set, a shared
+  queue) on 4-8 processors, materialised into a program.  Pattern cases
+  also check the machine-wide invariants between engine slices
+  (``paranoid=True``).
+
+The contention knobs of the ``program`` source are the interesting
+part.  Each case draws:
 
 * a *hot set* of shared lines every processor hammers (``hot_lines``
   lines, restricted to ``hot_words`` words so same-word RMW conflicts —
@@ -26,11 +35,18 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.conform.program import ConformProgram
 from repro.core.config import SystemConfig
-from repro.faults.plan import FaultPlan
-from repro.workloads.base import BARRIER, Transaction
+from repro.faults.plan import FaultPlan, random_fault_plan
+from repro.workloads.base import BARRIER, Transaction, Workload
+from repro.workloads.micro import CounterWorkload
+from repro.workloads.tm_patterns import ListSetWorkload, QueueWorkload
 
 LINE_SIZE = 32
 WORD_SIZE = 4
+
+#: Where :func:`make_case` takes a case's program from.
+SOURCES = ("program", "patterns")
+#: The ``patterns`` source's workloads.
+PATTERN_WORKLOADS = ("hot-counter", "list-set", "queue")
 
 #: Op-mix profiles: weights for (ld, st, add).
 _MIX_PROFILES = {
@@ -129,6 +145,38 @@ def generate_program(seed: int) -> ConformProgram:
     )
 
 
+def pattern_workload(name: str, seed: int) -> Workload:
+    """One ``patterns``-source workload, sized so a case runs in well
+    under a second."""
+    if name == "hot-counter":
+        # Every processor increments one shared word: maximal conflict,
+        # and any lost or doubled commit shows in the final counter.
+        return CounterWorkload(n_counters=1, increments_per_proc=6,
+                               compute=3, base_addr=0)
+    if name == "list-set":
+        return ListSetWorkload(list_length=10, ops_per_proc=4,
+                               insert_ratio=0.5, seed=seed)
+    if name == "queue":
+        return QueueWorkload(ops_per_proc=4, compute=10, seed=seed)
+    raise ValueError(f"unknown pattern workload {name!r}; "
+                     f"expected one of {PATTERN_WORKLOADS}")
+
+
+def pattern_program(seed: int) -> ConformProgram:
+    """The ``patterns``-source program for case ``seed``: a workload of
+    :data:`PATTERN_WORKLOADS` on 4, 6 or 8 processors, its schedules
+    materialised."""
+    rng = random.Random(seed * 0x9E3779B9 + 1)
+    name = rng.choice(PATTERN_WORKLOADS)
+    n_procs = rng.choice((4, 4, 6, 8))
+    return ConformProgram(
+        n_processors=n_procs,
+        schedules=pattern_workload(name, seed).schedules(n_procs),
+        line_size=LINE_SIZE,
+        word_size=WORD_SIZE,
+    )
+
+
 @dataclass
 class ConformCase:
     """One replayable differential-test case: program + machine + faults.
@@ -144,6 +192,7 @@ class ConformCase:
     program: ConformProgram
     config_overrides: Dict[str, Any] = field(default_factory=dict)
     fault_plan: Optional[FaultPlan] = None
+    source: str = "program"
 
     def build_config(self) -> SystemConfig:
         return SystemConfig(fault_plan=self.fault_plan,
@@ -154,7 +203,7 @@ class ConformCase:
 
     def describe(self) -> str:
         mode = "faults" if self.faults else "fault-free"
-        return (f"conform seed={self.seed} ({mode}, "
+        return (f"conform seed={self.seed} ({self.source}, {mode}, "
                 f"{self.program.n_processors}p, "
                 f"{self.program.tx_count} txs, {self.program.op_count} ops)")
 
@@ -164,6 +213,7 @@ class ConformCase:
         return {
             "seed": self.seed,
             "faults": self.faults,
+            "source": self.source,
             "program": self.program.to_dict(),
             "config_overrides": dict(self.config_overrides),
             "fault_plan": (self.fault_plan.as_dict()
@@ -179,26 +229,35 @@ class ConformCase:
             program=ConformProgram.from_dict(data["program"]),
             config_overrides=dict(data["config_overrides"]),
             fault_plan=FaultPlan.from_dict(plan) if plan else None,
+            source=data.get("source", "program"),
         )
 
 
-def make_case(seed: int, faults: bool = False) -> ConformCase:
-    """Deterministically derive case ``seed`` end to end."""
-    program = generate_program(seed)
-    rng = random.Random(seed * 0x9E3779B9 + 0xFA57)
+def make_case(seed: int, faults: bool = False,
+              source: str = "program") -> ConformCase:
+    """Deterministically derive case ``seed`` of ``source`` end to end."""
+    if source == "program":
+        program = generate_program(seed)
+        rng = random.Random(seed * 0x9E3779B9 + 0xFA57)
+        extra: Dict[str, Any] = {"network_jitter": rng.randint(0, 6)}
+    elif source == "patterns":
+        program = pattern_program(seed)
+        # Passive checks: the simulated event stream is bit-identical
+        # with or without them.
+        extra = {"paranoid": True}
+    else:
+        raise ValueError(f"unknown conform source {source!r}; "
+                         f"expected one of {SOURCES}")
     overrides: Dict[str, Any] = {
         "n_processors": program.n_processors,
         "seed": seed,
         "ordered_network": False,
-        "network_jitter": rng.randint(0, 6),
+        **extra,
         "line_size": program.line_size,
         "word_size": program.word_size,
     }
     plan: Optional[FaultPlan] = None
     if faults:
-        # Same bounded-hostility plan space the chaos harness sweeps.
-        from repro.faults.chaos import random_fault_plan
-
         plan = random_fault_plan(seed, program.n_processors)
         # Small programs: tighten the watchdog so a genuine wedge is
         # diagnosed in seconds, not simulated megacycles.
@@ -206,5 +265,5 @@ def make_case(seed: int, faults: bool = False) -> ConformCase:
         overrides["watchdog_stall_checks"] = 4
     return ConformCase(
         seed=seed, faults=faults, program=program,
-        config_overrides=overrides, fault_plan=plan,
+        config_overrides=overrides, fault_plan=plan, source=source,
     )

@@ -2,10 +2,10 @@
 
 ``run_conform`` fans seeded cases out over the :mod:`repro.runner`
 process pool with the content-addressed result cache (a conform case is
-a pure function of ``(seed, faults)`` and the code fingerprint), shrinks
-every failure to a minimal reproducer in the parent, writes the shrunk
-counterexamples as replayable JSON files, and returns the
-``CONFORM_report.json`` payload.
+a pure function of ``(seed, faults, source)`` and the code
+fingerprint), shrinks every failure to a minimal reproducer in the
+parent, writes the shrunk counterexamples as replayable JSON files, and
+returns the ``CONFORM_report.json`` payload.
 
 Per-case payloads contain no wall-clock or host-dependent fields, so the
 report's ``fingerprint`` — a SHA-256 over the canonical per-case results
@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.conform.counterexample import save_counterexample
 from repro.conform.differ import ConformCaseResult
-from repro.conform.generator import make_case
+from repro.conform.generator import SOURCES, make_case
 from repro.conform.shrink import shrink_case
 
 #: Cap on how many failures one campaign shrinks (each shrink re-runs the
@@ -41,6 +41,7 @@ def run_conform(
     cases: int = 200,
     seed0: int = 0,
     faults: bool = False,
+    source: str = "program",
     progress=None,
     jobs: Optional[int] = 1,
     cache=None,
@@ -51,19 +52,29 @@ def run_conform(
 ) -> Dict[str, Any]:
     """Run a campaign of ``cases`` differential checks; return a report.
 
-    On failure: the case is rebuilt from its seed, greedily shrunk
-    (``shrink=False`` to skip), and — when ``save_dir`` is set — written
-    there as a replayable counterexample file whose path lands in the
-    report, ready to be checked into ``tests/fixtures/conform/``.
+    ``source`` names where each case's program comes from (``program``
+    or ``patterns``, see :mod:`repro.conform.generator`).  On failure:
+    the case is rebuilt from its seed, greedily shrunk (``shrink=False``
+    to skip), and — when ``save_dir`` is set — written there as a
+    replayable counterexample file whose path lands in the report, ready
+    to be checked into ``tests/fixtures/conform/``.
     """
     from repro.runner import JobSpec, run_jobs
 
+    if source not in SOURCES:
+        raise ValueError(f"unknown conform source {source!r}; "
+                         f"expected one of {SOURCES}")
     started = time.perf_counter()
-    # ``faults`` rides in workload_args so it reaches the worker-side
-    # make_case() *and* keys the cache (a faulty campaign must not be
-    # satisfied by cached fault-free outcomes).
-    case_args = {"faults": True} if faults else None
-    specs = [JobSpec(kind="conform", seed=seed0 + i, workload_args=case_args,
+    # ``faults`` and ``source`` ride in workload_args so they reach the
+    # worker-side make_case() *and* key the cache (a faulty campaign must
+    # not be satisfied by cached fault-free outcomes).
+    case_args: Dict[str, Any] = {}
+    if faults:
+        case_args["faults"] = True
+    if source != "program":
+        case_args["source"] = source
+    specs = [JobSpec(kind="conform", seed=seed0 + i,
+                     workload_args=case_args or None,
                      label=f"conform {seed0 + i}")
              for i in range(cases)]
 
@@ -89,15 +100,18 @@ def run_conform(
 
     failures = [r for r in results if not r.ok]
     outcome_counts: Dict[str, int] = {}
+    fault_totals: Dict[str, int] = {}
     for r in results:
         outcome_counts[r.outcome] = outcome_counts.get(r.outcome, 0) + 1
+        for key, value in r.fault_stats.items():
+            fault_totals[key] = fault_totals.get(key, 0) + value
 
     shrunk: List[Dict[str, Any]] = []
     if shrink:
         for failure in failures[:MAX_SHRINKS]:
             if failure.outcome == "error" and failure.transactions == 0:
                 continue  # infrastructure failure; nothing to shrink
-            case = make_case(failure.seed, faults=faults)
+            case = make_case(failure.seed, faults=faults, source=source)
             try:
                 shrink_result = shrink_case(case, max_evals=shrink_evals)
             except ValueError:
@@ -119,7 +133,7 @@ def run_conform(
                 mode = "faults" if faults else "clean"
                 path = save_counterexample(
                     shrink_result.case, shrink_result.result,
-                    f"{save_dir}/seed{failure.seed}_{mode}.json",
+                    f"{save_dir}/{source}_seed{failure.seed}_{mode}.json",
                 )
                 entry["file"] = str(path)
             shrunk.append(entry)
@@ -128,11 +142,13 @@ def run_conform(
         "cases": cases,
         "seed0": seed0,
         "faults": faults,
+        "source": source,
         "passed": len(results) - len(failures),
         "failed": len(failures),
         "outcome_counts": outcome_counts,
         "failures": [r.as_dict() for r in failures],
         "shrunk": shrunk,
+        "fault_totals": fault_totals,
         "fingerprint": results_fingerprint(results),
         "wall_seconds": round(time.perf_counter() - started, 3),
         "runner": stats.as_dict(),
@@ -146,11 +162,17 @@ def format_report(report: Dict[str, Any]) -> str:
     """Render a campaign report for the terminal."""
     mode = "faults" if report["faults"] else "fault-free"
     lines = [
-        f"conform: {report['passed']}/{report['cases']} passed "
+        f"conform {report['source']}: "
+        f"{report['passed']}/{report['cases']} passed "
         f"({mode}, seeds {report['seed0']}.."
         f"{report['seed0'] + report['cases'] - 1}, "
         f"{report['wall_seconds']:.1f}s)"
     ]
+    totals = {k: v for k, v in sorted(report["fault_totals"].items()) if v}
+    if totals:
+        lines.append("  faults injected: " + "  ".join(
+            f"{k}={v}" for k, v in totals.items()
+        ))
     runner = report.get("runner")
     if runner:
         line = (f"  runner: {runner['jobs']} worker(s), "
@@ -169,7 +191,7 @@ def format_report(report: Dict[str, Any]) -> str:
             f"{failure['n_processors']}p/{failure['transactions']}tx: "
             f"{failure['outcome']} ({failure['detail']}) — replay: "
             f"run_conform_case(make_case({failure['seed']}, "
-            f"faults={report['faults']}))"
+            f"faults={report['faults']}, source={report['source']!r}))"
         )
     for entry in report["shrunk"]:
         if entry.get("reproduced"):

@@ -18,6 +18,7 @@ shrinker cannot manufacture deadlocks the original program did not have.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
@@ -78,9 +79,8 @@ def _rebuild(case: ConformCase, schedules: Schedules) -> ConformCase:
     n = len(schedules)
     overrides = dict(case.config_overrides)
     overrides["n_processors"] = n
-    return ConformCase(
-        seed=case.seed,
-        faults=case.faults,
+    return dataclasses.replace(
+        case,
         program=ConformProgram(
             n_processors=n,
             schedules=schedules,
@@ -88,7 +88,6 @@ def _rebuild(case: ConformCase, schedules: Schedules) -> ConformCase:
             word_size=case.program.word_size,
         ),
         config_overrides=overrides,
-        fault_plan=case.fault_plan,
     )
 
 

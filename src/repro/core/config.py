@@ -47,9 +47,6 @@ class SystemConfig:
     link_bytes_per_cycle: Optional[int] = 16
     ordered_network: bool = False
     network_jitter: int = 2
-    #: Model per-link occupancy along the XY route (wormhole contention)
-    #: instead of only per-node injection bandwidth.
-    link_contention: bool = False
 
     # Directory and memory
     directory_latency: int = 10

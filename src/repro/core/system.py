@@ -182,7 +182,6 @@ class ScalableTCCSystem:
             ordered=config.ordered_network,
             jitter=config.network_jitter,
             seed=config.seed,
-            link_contention=config.link_contention,
         )
         if config.first_touch:
             self.mapping = FirstTouchMapping(

@@ -7,12 +7,8 @@ deterministic injector the interconnect consults
 (:mod:`repro.faults.injector`), the retry/ack helpers the hardened
 protocol uses (:mod:`repro.faults.retry`), and the progress watchdog
 that turns hangs into structured diagnostics
-(:mod:`repro.faults.watchdog`).
-
-The chaos harness lives in :mod:`repro.faults.chaos` but is *not*
-imported here: it imports the top-level ``repro`` package, which would
-close an import cycle through ``repro.core.config`` (config references
-:class:`FaultPlan`).
+(:mod:`repro.faults.watchdog`).  :func:`random_fault_plan` draws the
+seeded plans that ``repro conform --faults`` campaigns sweep.
 """
 
 from repro.faults.injector import FaultInjector, FaultStats
@@ -22,6 +18,7 @@ from repro.faults.plan import (
     FaultPlan,
     NodeFault,
     PacketFault,
+    random_fault_plan,
 )
 from repro.faults.retry import AckTracker, Retrier
 from repro.faults.watchdog import ProgressWatchdog, WatchdogStall, format_stall_report
@@ -39,4 +36,5 @@ __all__ = [
     "Retrier",
     "WatchdogStall",
     "format_stall_report",
+    "random_fault_plan",
 ]

@@ -7,8 +7,9 @@ node faults (directory stall, processor pause).  The plan itself holds
 no mutable state; the :class:`~repro.faults.injector.FaultInjector`
 draws every probabilistic decision from a PRNG seeded by ``plan.seed``,
 so a (plan, workload, config) triple always replays the exact same
-faulty execution — failures found by the chaos harness reproduce from
-their seed alone.
+faulty execution — a failing campaign case reproduces from its seed
+alone.  :func:`random_fault_plan` draws the bounded-hostility plans the
+``repro conform --faults`` campaigns sweep.
 
 Drops only apply to messages the protocol can recover end-to-end
 (``retryable = True`` on the message class: loads, TID traffic, skips,
@@ -22,8 +23,9 @@ exists to absorb it.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 PACKET_FAULT_KINDS = ("drop", "dup", "delay", "reorder")
 NODE_FAULT_KINDS = ("dir_stall", "cpu_pause")
@@ -186,7 +188,7 @@ class FaultPlan:
         )
 
     def describe(self) -> str:
-        """One line per rule, for chaos-harness reports."""
+        """One line per rule, for campaign reports."""
         lines = []
         for f in self.packet_faults:
             window = (
@@ -204,3 +206,36 @@ class FaultPlan:
                 f"cycles [{f.start_cycle}, {f.end_cycle})"
             )
         return "\n".join(lines) if lines else "(no faults)"
+
+
+def random_fault_plan(seed: int, n_nodes: int) -> FaultPlan:
+    """A bounded-hostility random plan: enough faults to exercise every
+    hardening path, probabilities capped so runs still terminate fast."""
+    rng = random.Random(seed)
+    packet_faults: List[PacketFault] = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(PACKET_FAULT_KINDS)
+        classes: Tuple[str, ...] = ()
+        if rng.random() < 0.4:
+            classes = tuple(
+                rng.sample(("commit", "miss", "writeback"), rng.randint(1, 2))
+            )
+        packet_faults.append(PacketFault(
+            kind,
+            probability=round(rng.uniform(0.01, 0.10), 4),
+            traffic_classes=classes,
+            delay=rng.randrange(50, 400),
+        ))
+    node_faults: List[NodeFault] = []
+    for kind in NODE_FAULT_KINDS:
+        if rng.random() < 0.5:
+            node_faults.append(NodeFault(
+                kind, rng.randrange(n_nodes),
+                start_cycle=rng.randrange(0, 4000),
+                duration=rng.randrange(500, 4000),
+            ))
+    return FaultPlan(
+        packet_faults=tuple(packet_faults),
+        node_faults=tuple(node_faults),
+        seed=seed,
+    )

@@ -3,7 +3,7 @@
 The simulator's headline guarantees — bit-identical replay from a seed,
 stable content-addressed cache keys, and the paper's commit-protocol
 structure — are enforced dynamically by tests.  This package enforces
-them *statically*, before a chaos seed ever has to find a violation:
+them *statically*, before a campaign seed ever has to find a violation:
 
 * :mod:`repro.lint.classify` splits the package into **sim-path**
   modules (code that executes inside a simulation, where any

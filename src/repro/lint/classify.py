@@ -3,7 +3,7 @@
 **Sim-path** code executes inside a simulation: any nondeterminism there
 (global RNG, wall clock, hash-order iteration feeding the event queue)
 breaks bit-identical replay.  **Driver-path** code orchestrates runs —
-the CLI, analysis, the process pool, the chaos campaign driver — and is
+the CLI, analysis, the process pool, the conform campaign driver — and is
 free to read clocks, environment variables, and entropy.
 
 The split is computed, not maintained by hand: sim-path is the

@@ -102,7 +102,6 @@ class Interconnect:
         ordered: bool = False,
         jitter: int = 2,
         seed: int = 0,
-        link_contention: bool = False,
     ) -> None:
         self.engine = engine
         self.n_nodes = n_nodes
@@ -121,8 +120,6 @@ class Interconnect:
         self._hops = self.topology.hop_table
         self._handlers: List[Optional[Handler]] = [None] * n_nodes
         self._egress_free_at: List[int] = [0] * n_nodes
-        self.link_contention = link_contention
-        self._link_free_at: Dict[tuple, int] = defaultdict(int)
         self.stats = TrafficStats(n_nodes)
         #: Optional :class:`repro.faults.injector.FaultInjector`; when set
         #: it owns final delivery scheduling (drop/dup/delay/reorder).
@@ -159,32 +156,6 @@ class Interconnect:
         if bandwidth:
             cycles += (total_bytes + bandwidth - 1) // bandwidth
         return cycles
-
-    def _contended_transit(
-        self, src: int, dst: int, total_bytes: int, start_offset: int
-    ) -> int:
-        """Wormhole-style XY traversal with per-link occupancy.
-
-        The packet's head flit reserves each directed link in path order;
-        a busy link stalls the packet until it frees.  Each link stays
-        busy for the packet's serialization time.
-        """
-        serialization = 1
-        if self.link_bytes_per_cycle:
-            serialization = max(
-                1,
-                (total_bytes + self.link_bytes_per_cycle - 1)
-                // self.link_bytes_per_cycle,
-            )
-        now = self.engine.now + start_offset
-        arrival = now
-        link_free = self._link_free_at
-        for link in self.topology.route(src, dst):
-            enter = arrival if arrival >= link_free[link] else link_free[link]
-            link_free[link] = enter + serialization
-            arrival = enter + self.link_latency
-        arrival += self.router_latency + serialization
-        return arrival - now
 
     # -- sending ----------------------------------------------------------
 
@@ -261,7 +232,6 @@ class Interconnect:
         else:
             egress = 0
         link_latency = self.link_latency
-        contention = self.link_contention
         jitter = self.jitter
         getrandbits = self._getrandbits
         bits = self._jitter_bits
@@ -275,11 +245,7 @@ class Interconnect:
                             now, 0, stats.packets + 1)
             stats.packets = packet.packet_id
             hops = row[dst]
-            if contention and src != dst:
-                delay = egress + self._contended_transit(
-                    src, dst, total_bytes, egress
-                )
-            elif hops == 0:
+            if hops == 0:
                 delay = egress + self.local_latency
             else:
                 delay = egress + hops * link_latency + wire

@@ -35,7 +35,6 @@ class MeshTopology:
             [abs(ra - rb) + abs(ca - cb) for (rb, cb) in coords]
             for (ra, ca) in coords
         ]
-        self._route_cache: dict = {}
 
     @staticmethod
     def _best_cols(n_nodes: int) -> int:
@@ -88,33 +87,6 @@ class MeshTopology:
                 if neighbor < self.n_nodes:
                     found.append(neighbor)
         return found
-
-    def route(self, src: int, dst: int) -> List[Tuple[int, int]]:
-        """The directed links an XY-routed packet traverses (X first).
-
-        Routes are memoized; callers must not mutate the returned list.
-        """
-        cached = self._route_cache.get((src, dst))
-        if cached is not None:
-            return cached
-        self._check(src)
-        self._check(dst)
-        links: List[Tuple[int, int]] = []
-        row, col = divmod(src, self.cols)
-        dst_row, dst_col = divmod(dst, self.cols)
-        current = src
-        while col != dst_col:
-            col += 1 if dst_col > col else -1
-            nxt = row * self.cols + col
-            links.append((current, nxt))
-            current = nxt
-        while row != dst_row:
-            row += 1 if dst_row > row else -1
-            nxt = row * self.cols + col
-            links.append((current, nxt))
-            current = nxt
-        self._route_cache[(src, dst)] = links
-        return links
 
     def _check(self, node: int) -> None:
         if not 0 <= node < self.n_nodes:

@@ -2,7 +2,7 @@
 
 The experiment harness's answer to the paper's own thesis: independent
 work must not serialize on a global token.  Every multi-run driver
-(sweeps, scaling studies, chaos campaigns, figure benchmarks) describes
+(sweeps, scaling studies, conform campaigns, figure benchmarks) describes
 its runs as declarative :class:`JobSpec`\\ s and hands them to
 :func:`run_jobs`, which fans them out over worker processes and
 memoizes their summaries on disk keyed by ``SHA-256(spec) +

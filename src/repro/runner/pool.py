@@ -45,16 +45,9 @@ def execute_job(spec: JobSpec) -> Dict[str, Any]:
     only on the spec and the simulator version."""
     if spec.kind == "sim":
         return _execute_sim(spec)
-    if spec.kind == "chaos":
-        # Imported lazily: repro.faults.chaos imports the top-level
-        # package and must stay out of import cycles.
-        from repro.faults.chaos import make_case, run_case
-
-        case = make_case(spec.seed, **(spec.workload_args or {}))
-        return {"case": run_case(case).as_dict()}
     if spec.kind == "conform":
-        # Same lazy-import rule as chaos: repro.conform imports
-        # repro.core.system and must stay out of import cycles.
+        # Imported lazily: repro.conform imports repro.core.system and
+        # must stay out of import cycles.
         from repro.conform.differ import run_conform_case
         from repro.conform.generator import make_case as make_conform_case
 

@@ -8,20 +8,16 @@ indirection through :data:`WORKLOAD_FACTORIES` is what keeps specs
 declarative: a lambda closed over a workload object is neither
 picklable nor hashable, a ``("app", {"name": "barnes"})`` pair is both.
 
-Three job kinds exist:
+Two job kinds exist:
 
 ``sim``
     Build config + workload, run one system, summarize
     (:class:`~repro.runner.summary.ResultSummary`).  Cacheable.
-``chaos``
-    One seeded chaos case (``run_case(make_case(seed))``); the seed
-    alone determines workload, machine size, and fault plan.  Cacheable
-    (wall-clock is zeroed on a cache hit).
 ``conform``
-    One seeded differential-conformance case
-    (``run_conform_case(make_case(seed, **args))``); the seed plus the
-    ``faults`` flag in ``workload_args`` determine program, machine,
-    and fault plan.  Cacheable (payloads carry no wall-clock fields).
+    One seeded campaign case (``run_conform_case(make_case(seed,
+    **args))``); the seed plus the ``faults`` flag and the ``source``
+    name in ``workload_args`` determine program, machine, and fault
+    plan.  Cacheable (payloads carry no wall-clock fields).
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ from repro.workloads.tm_patterns import (
     QueueWorkload,
 )
 
-JOB_KINDS = ("sim", "chaos", "conform")
+JOB_KINDS = ("sim", "conform")
 
 #: name -> factory(config, **args) -> Workload.  Factories take the
 #: effective config first so they can match line/word geometry.
@@ -114,7 +110,7 @@ class JobSpec:
     workload_args: Optional[Dict[str, Any]] = None
     #: The full effective config (already has overrides applied).
     config: Optional[SystemConfig] = None
-    #: ``chaos`` only: the case seed (everything derives from it).
+    #: ``conform`` only: the case seed (everything derives from it).
     seed: Optional[int] = None
     max_cycles: Optional[int] = None
     verify: bool = True
@@ -126,7 +122,7 @@ class JobSpec:
     def __post_init__(self) -> None:
         if self.kind not in JOB_KINDS:
             raise ValueError(f"job kind must be one of {JOB_KINDS}, got {self.kind!r}")
-        if self.kind in ("chaos", "conform") and self.seed is None:
+        if self.kind == "conform" and self.seed is None:
             raise ValueError(f"{self.kind} jobs need a seed")
         if self.kind == "sim" and not self.workload:
             raise ValueError(f"{self.kind} jobs need a workload name")
@@ -152,7 +148,7 @@ class JobSpec:
     def describe(self) -> str:
         if self.label:
             return self.label
-        if self.kind in ("chaos", "conform"):
+        if self.kind == "conform":
             return f"{self.kind} seed={self.seed}"
         n = self.config.n_processors if self.config else "?"
         return f"{self.kind} {self.workload}@{n}"

@@ -52,16 +52,10 @@ class Transaction:
     label: str = ""
 
     def __post_init__(self) -> None:
+        total = 0
         for op in self.ops:
             if not op or op[0] not in _VALID_OPS:
                 raise ValueError(f"bad transaction op {op!r}")
-
-    @property
-    def instructions(self) -> int:
-        """Instruction count at CPI=1: compute cycles plus memory ops
-        (an ``add`` is a load and a store)."""
-        total = 0
-        for op in self.ops:
             kind = op[0]
             if kind == "c":
                 total += op[1]
@@ -69,7 +63,10 @@ class Transaction:
                 total += 2
             else:
                 total += 1
-        return total
+        #: Instruction count at CPI=1: compute cycles plus memory ops (an
+        #: ``add`` is a load and a store).  Computed once; ``ops`` is
+        #: never mutated after construction.
+        self.instructions = total
 
     def read_addrs(self) -> List[int]:
         return [op[1] for op in self.ops if op[0] in ("ld", "add")]

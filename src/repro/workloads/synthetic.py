@@ -79,37 +79,29 @@ class SyntheticWorkload(Workload):
         # Shared pool layout: hot lines scattered over spread_pages pages,
         # starting high enough to avoid private regions.
         self._shared_base = 1 << 28
-        self._zipf_weights = self._make_zipf(profile.hot_lines, profile.conflict_skew)
         # Inlined rng.choices(range(n), weights=...): precompute the
         # cumulative weights once and draw with a single rng.random() +
         # bisect — the exact draw sequence choices() consumes.
-        self._zipf_cum = list(accumulate(self._zipf_weights))
+        self._zipf_cum = list(accumulate(
+            self._make_zipf(profile.hot_lines, profile.conflict_skew)))
         self._zipf_total = self._zipf_cum[-1] + 0.0
         self._zipf_hi = profile.hot_lines - 1
+        self._sigma = max(1.0, profile.tx_instructions * profile.tx_instructions_cv)
+        # randrange(n) draws getrandbits(n.bit_length()) until below n.
+        self._word_bits = self.words_per_line.bit_length()
+        self._line_bits = profile.private_lines.bit_length()
+        # rng.shuffle(x) swaps x[i] with x[randbelow(i + 1)] for i from
+        # len(x) - 1 down to 1; every transaction has the same length.
+        self._shuffle_steps = [
+            (i, (i + 1).bit_length())
+            for i in reversed(range(1, profile.reads_per_tx + profile.writes_per_tx))
+        ]
 
     @staticmethod
     def _make_zipf(n: int, skew: float) -> List[float]:
         weights = [1.0 / (i + 1) ** skew for i in range(n)]
         total = sum(weights)
         return [w / total for w in weights]
-
-    # -- address helpers --------------------------------------------------
-
-    def shared_addr(self, hot_index: int, rng: random.Random) -> int:
-        page = hot_index % self.profile.spread_pages
-        line_in_page = hot_index // self.profile.spread_pages
-        base = self._shared_base + page * PAGE + line_in_page * self.line_size
-        word = rng.randrange(self.words_per_line)
-        return base + word * self.word_size
-
-    def private_addr(self, proc: int, rng: random.Random) -> int:
-        base = (1 + proc) * (1 << 22)
-        line = rng.randrange(self.profile.private_lines)
-        word = rng.randrange(self.words_per_line)
-        return base + line * self.line_size + word * self.word_size
-
-    def _pick_hot(self, rng: random.Random) -> int:
-        return bisect(self._zipf_cum, rng.random() * self._zipf_total, 0, self._zipf_hi)
 
     # -- schedule generation ------------------------------------------------
 
@@ -137,36 +129,79 @@ class SyntheticWorkload(Workload):
                 yield BARRIER
 
     def _make_tx(self, proc: int, index: int, rng: random.Random) -> Transaction:
-        profile = self.profile
-        sigma = max(1.0, profile.tx_instructions * profile.tx_instructions_cv)
-        compute = max(10, int(rng.gauss(profile.tx_instructions, sigma)))
+        """One transaction: ``reads_per_tx`` loads, then ``writes_per_tx``
+        stores or adds, shuffled, with the compute spread between them.
 
-        ops: List = []
+        Every ``rng.randrange(n)``, and the shuffle's, is inlined as
+        ``getrandbits(k)`` with ``k = n.bit_length()``, redrawn while
+        ``>= n``: the exact bits ``Random._randbelow`` consumes, so
+        schedules are bit-identical to the ``randrange``/``shuffle``
+        form.
+        """
+        profile = self.profile
+        random_ = rng.random
+        getrandbits = rng.getrandbits
+        reads = profile.reads_per_tx
+        shared_fraction = profile.shared_fraction
+        write_shared_fraction = profile.write_shared_fraction
+        rmw_fraction = profile.rmw_fraction
+        shared_base = self._shared_base
+        spread = profile.spread_pages
+        zipf_cum = self._zipf_cum
+        zipf_total = self._zipf_total
+        zipf_hi = self._zipf_hi
+        line_size = self.line_size
+        word_size = self.word_size
+        words = self.words_per_line
+        word_bits = self._word_bits
+        lines = profile.private_lines
+        line_bits = self._line_bits
+        private_base = (1 + proc) * (1 << 22)
+
+        compute = max(10, int(rng.gauss(profile.tx_instructions, self._sigma)))
         accesses: List = []
-        for _ in range(profile.reads_per_tx):
-            if rng.random() < profile.shared_fraction:
-                accesses.append(("ld", self.shared_addr(self._pick_hot(rng), rng)))
+        for i in range(reads + profile.writes_per_tx):
+            write = i >= reads
+            shared = random_() < (write_shared_fraction if write
+                                  else shared_fraction)
+            if shared:
+                hot = bisect(zipf_cum, random_() * zipf_total, 0, zipf_hi)
+                line, page = divmod(hot, spread)
+                base = shared_base + page * PAGE + line * line_size
             else:
-                accesses.append(("ld", self.private_addr(proc, rng)))
-        for w in range(profile.writes_per_tx):
-            if rng.random() < profile.write_shared_fraction:
-                addr = self.shared_addr(self._pick_hot(rng), rng)
-                if rng.random() < profile.rmw_fraction:
-                    accesses.append(("add", addr, 1))
-                else:
-                    accesses.append(("st", addr, rng.randrange(1, 1 << 16)))
+                line = getrandbits(line_bits)
+                while line >= lines:
+                    line = getrandbits(line_bits)
+                base = private_base + line * line_size
+            word = getrandbits(word_bits)
+            while word >= words:
+                word = getrandbits(word_bits)
+            addr = base + word * word_size
+            if not write:
+                accesses.append(("ld", addr))
+            elif shared and random_() < rmw_fraction:
+                accesses.append(("add", addr, 1))
             else:
-                addr = self.private_addr(proc, rng)
-                accesses.append(("st", addr, rng.randrange(1, 1 << 16)))
-        rng.shuffle(accesses)
+                # randrange(1, 1 << 16) is 1 + randbelow(65535).
+                value = getrandbits(16)
+                while value >= 65535:
+                    value = getrandbits(16)
+                accesses.append(("st", addr, value + 1))
+        for i, bits in self._shuffle_steps:
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            accesses[i], accesses[j] = accesses[j], accesses[i]
 
         # Interleave the compute between the memory accesses.
-        slices = len(accesses) + 1
-        chunk = compute // slices
-        remainder = compute - chunk * (slices - 1)
-        for access in accesses:
-            if chunk:
-                ops.append(("c", chunk))
-            ops.append(access)
-        ops.append(("c", max(1, remainder)))
+        chunk = compute // (len(accesses) + 1)
+        ops: List = []
+        if chunk:
+            slice_op = ("c", chunk)
+            for access in accesses:
+                ops.append(slice_op)
+                ops.append(access)
+        else:
+            ops.extend(accesses)
+        ops.append(("c", max(1, compute - chunk * len(accesses))))
         return Transaction(proc * 1_000_000 + index, ops, label=profile.name)

@@ -89,33 +89,46 @@ def test_bad_count_list_rejected(capsys):
         main(["scaling", "barnes", "--counts", "1,x"])
 
 
-def test_chaos_small_campaign(capsys):
-    code, out = run_cli(capsys, "chaos", "--cases", "3", "--seed0", "200")
+def test_conform_patterns_small_campaign(capsys):
+    code, out = run_cli(capsys, "conform", "--source", "patterns",
+                        "--faults", "--cases", "3", "--seed", "200")
     assert code == 0
-    assert "3/3 passed" in out
-    assert "zero hangs" in out
+    assert "conform patterns: 3/3 passed" in out
+    assert "faults injected:" in out
+    assert "oracle agreement" in out
 
 
-def test_chaos_verbose_lists_cases(capsys):
-    code, out = run_cli(capsys, "chaos", "--cases", "2", "--verbose")
+def test_conform_patterns_verbose_lists_cases(capsys):
+    code, out = run_cli(capsys, "conform", "--source", "patterns",
+                        "--cases", "2", "--verbose")
     assert code == 0
     assert out.count("ok   seed=") == 2
 
 
-def test_chaos_writes_json_report(capsys, tmp_path):
-    out_file = tmp_path / "chaos.json"
-    code, out = run_cli(capsys, "chaos", "--cases", "2", "--out", str(out_file))
+def test_conform_patterns_writes_json_report(capsys, tmp_path):
+    out_file = tmp_path / "patterns.json"
+    code, out = run_cli(capsys, "conform", "--source", "patterns",
+                        "--faults", "--cases", "2", "--out", str(out_file))
     assert code == 0
     import json
 
     report = json.loads(out_file.read_text())
+    assert (report["source"], report["faults"]) == ("patterns", True)
     assert report["cases"] == 2
     assert report["failed"] == 0
+    assert report["fault_totals"]["packets_seen"] > 0
 
 
-def test_chaos_rejects_bad_case_count(capsys):
-    with pytest.raises(SystemExit, match="cases"):
-        main(["chaos", "--cases", "0"])
+def test_conform_rejects_unknown_source(capsys):
+    with pytest.raises(SystemExit):
+        main(["conform", "--source", "apps"])
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_chaos_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit):
+        main(["chaos", "--quick"])
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_conform_small_campaign(capsys):
@@ -156,6 +169,11 @@ def test_conform_writes_json_report(capsys, tmp_path):
 def test_conform_rejects_bad_case_count(capsys):
     with pytest.raises(SystemExit, match="cases"):
         main(["conform", "--cases", "0"])
+
+
+def test_conform_patterns_rejects_bad_case_count(capsys):
+    with pytest.raises(SystemExit, match="cases"):
+        main(["conform", "--source", "patterns", "--cases", "0"])
 
 
 def test_bad_config_exits_nonzero_with_one_line_error(capsys):

@@ -1,13 +1,15 @@
 """Tests for the differential conformance subsystem.
 
 Generator determinism, program/case serialization round-trips, the
-differ's ability to catch every class of injected corruption, greedy
-shrinking (against a synthetic failure check, via the injectable ``run``
-hook), counterexample files, and the harness's bit-identical fingerprint
-across ``--jobs`` settings and cache hits.
+differ's ability to catch every class of injected corruption, the
+``patterns`` source (hot counter, list set, queue under fault plans),
+greedy shrinking (against a synthetic failure check, via the injectable
+``run`` hook), counterexample files, and the harness's bit-identical
+fingerprint across ``--jobs`` settings and cache hits.
 """
 
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -25,7 +27,8 @@ from repro.conform import (
     save_counterexample,
     shrink_case,
 )
-from repro.conform.harness import results_fingerprint
+from repro.conform.generator import PATTERN_WORKLOADS, pattern_program
+from repro.conform.harness import format_report, results_fingerprint
 from repro.core.system import ScalableTCCSystem
 from repro.runner import JobSpec, ResultCache, run_jobs
 from repro.verify import CommitRecord, judge
@@ -197,6 +200,160 @@ class TestRunConformCase:
             == result.as_dict()
 
 
+def workload_of(program):
+    """The pattern workload a ``patterns`` program was drawn from, read
+    off its transaction labels."""
+    labels = {tx.label for tx in program.transactions().values()}
+    if labels == {"inc0"}:
+        return "hot-counter"
+    if labels <= {"enqueue", "dequeue"}:
+        return "queue"
+    return "list-set"
+
+
+def corrupting_system(monkeypatch, mutate):
+    """Make run_conform_case's machine hand back a result with
+    ``mutate`` applied, as a faulty simulator would."""
+    import repro.conform.differ as differ_mod
+
+    class Corrupting(ScalableTCCSystem):
+        def run(self, *args, **kwargs):
+            result = super().run(*args, **kwargs)
+            mutate(result)
+            return result
+
+    monkeypatch.setattr(differ_mod, "ScalableTCCSystem", Corrupting)
+
+
+#: Patterns seed 0 is a hot counter: 4 processors x 6 increments of the
+#: word at address 0.
+HOT_COUNTER_SEED = 0
+
+
+class TestPatternSource:
+    def test_make_case_is_deterministic(self):
+        a = make_case(42, faults=True, source="patterns")
+        assert a.to_dict() == make_case(42, faults=True,
+                                        source="patterns").to_dict()
+        assert a.to_dict() != make_case(43, faults=True,
+                                        source="patterns").to_dict()
+
+    def test_case_space(self):
+        seen = set()
+        for seed in range(40):
+            case = make_case(seed, faults=True, source="patterns")
+            case.program.validate()
+            config = case.build_config()
+            assert config.paranoid
+            assert config.n_processors in (4, 6, 8)
+            assert case.fault_plan.packet_faults
+            seen.add(workload_of(case.program))
+        assert seen == set(PATTERN_WORKLOADS)
+        assert not make_case(0).build_config().paranoid
+
+    def test_unknown_source_rejected(self):
+        with pytest.raises(ValueError, match="source"):
+            make_case(0, source="apps")
+        with pytest.raises(ValueError, match="source"):
+            run_conform(cases=1, source="apps")
+
+    def test_hot_counter_case(self):
+        program = pattern_program(HOT_COUNTER_SEED)
+        assert workload_of(program) == "hot-counter"
+        assert program.n_processors == 4
+        assert program.tx_count == 24
+        result = run_conform_case(
+            make_case(HOT_COUNTER_SEED, faults=True, source="patterns"))
+        assert result.outcome == "ok", result.detail
+        assert result.committed == 24
+
+    def test_case_is_replayable(self):
+        case = make_case(3, faults=True, source="patterns")
+        first = run_conform_case(case)
+        assert first.ok, first.detail
+        assert first.fault_stats["packets_seen"] > 0
+        assert run_conform_case(case).as_dict() == first.as_dict()
+
+    def test_case_results_serialize(self):
+        as_dict = run_conform_case(
+            make_case(1, faults=True, source="patterns")).as_dict()
+        json.dumps(as_dict)
+        assert as_dict["outcome"] == "ok"
+        assert as_dict["seed"] == 1
+
+    def test_paranoid_checks_are_bit_inert(self):
+        case = make_case(7, faults=True, source="patterns")
+        plain = dataclasses.replace(
+            case, config_overrides={**case.config_overrides,
+                                    "paranoid": False})
+        assert not plain.build_config().paranoid
+        checked = run_conform_case(case)
+        assert checked.ok, checked.detail
+        assert run_conform_case(plain).as_dict() == checked.as_dict()
+
+    def test_dropped_commit_is_a_mismatch(self, monkeypatch):
+        corrupting_system(monkeypatch, lambda r: r.commit_log.pop())
+        result = run_conform_case(
+            make_case(HOT_COUNTER_SEED, faults=True, source="patterns"))
+        assert result.outcome == "mismatch"
+        assert result.mismatches[0]["kind"] == "missing-commit"
+
+    def test_wrong_final_counter_is_a_mismatch(self, monkeypatch):
+        def lose_an_increment(result):
+            result.memory_image[0][0] -= 1
+
+        corrupting_system(monkeypatch, lose_an_increment)
+        result = run_conform_case(
+            make_case(HOT_COUNTER_SEED, faults=True, source="patterns"))
+        assert result.outcome == "mismatch"
+        assert result.mismatches[0]["kind"] == "final-memory"
+        assert "machine has 23, oracle has 24" in result.detail
+
+    def test_historical_wedge_seeds_stay_fixed(self):
+        """Regression: seeds that wedged pending forwards before the
+        protocol was hardened — a write-back stale-dropped after the
+        owner's next commit of the same line (152) and a duplicated
+        invalidation from an older commit destroying the owner's only
+        copy (379)."""
+        for seed in (152, 379):
+            result = run_conform_case(
+                make_case(seed, faults=True, source="patterns"))
+            assert result.outcome == "ok", f"seed {seed}: {result.detail}"
+
+    def test_small_campaign_passes_clean(self):
+        report = run_conform(cases=6, seed0=500, faults=True,
+                             source="patterns")
+        assert report["failed"] == 0, report["failures"]
+        assert report["passed"] == 6
+        assert report["source"] == "patterns"
+        assert report["fault_totals"]["packets_seen"] > 0
+        text = format_report(report)
+        assert "conform patterns: 6/6 passed (faults," in text
+        assert "faults injected:" in text
+        assert "oracle agreement" in text
+
+    def test_failure_report_names_the_replay(self):
+        failure = run_conform_case(make_case(0, source="patterns"))
+        failure.outcome, failure.detail = "mismatch", "forced"
+        report = {
+            "cases": 1, "seed0": 0, "faults": False, "source": "patterns",
+            "passed": 0, "failed": 1, "failures": [failure.as_dict()],
+            "shrunk": [], "fault_totals": {}, "fingerprint": "0" * 64,
+            "wall_seconds": 0.0,
+        }
+        assert ("replay: run_conform_case(make_case(0, faults=False, "
+                "source='patterns'))") in format_report(report)
+
+    def test_counterexample_keeps_source(self, tmp_path):
+        case = make_case(5, faults=True, source="patterns")
+        result = run_conform_case(case)
+        path = save_counterexample(case, result, tmp_path / "ce.json")
+        loaded, _ = load_counterexample(path)
+        assert loaded.source == "patterns"
+        assert loaded.build_config() == case.build_config()
+        assert replay_counterexample(path).as_dict() == result.as_dict()
+
+
 class TestShrinker:
     def test_minimizes_synthetic_failure(self):
         # "Failure": the program touches address 0 with an add.  The
@@ -245,6 +402,23 @@ class TestShrinker:
         shrunk = shrink_case(make_case(4), max_evals=150, run=fake_run)
         shrunk.case.program.validate()
         assert shrunk.final_txs >= 1
+
+    def test_shrunk_pattern_case_keeps_source_and_config(self):
+        from repro.conform.differ import ConformCaseResult
+
+        def fake_run(case):
+            return ConformCaseResult(
+                seed=case.seed, faults=case.faults,
+                n_processors=case.program.n_processors,
+                transactions=case.program.tx_count,
+                outcome="stall", detail="synthetic",
+            )
+
+        case = make_case(1, faults=True, source="patterns")
+        shrunk = shrink_case(case, max_evals=60, run=fake_run)
+        assert shrunk.case.source == "patterns"
+        assert shrunk.case.fault_plan == case.fault_plan
+        assert shrunk.case.build_config().paranoid
 
     def test_passing_case_rejected(self):
         from repro.conform.differ import ConformCaseResult
@@ -295,6 +469,12 @@ class TestJobSpecWiring:
                          workload_args={"faults": True})
         assert clean.key() != faulty.key()
 
+    def test_source_keys_the_cache(self):
+        program = JobSpec(kind="conform", seed=1)
+        patterns = JobSpec(kind="conform", seed=1,
+                           workload_args={"source": "patterns"})
+        assert program.key() != patterns.key()
+
     def test_worker_executes_conform_job(self):
         outcomes, _ = run_jobs([JobSpec(kind="conform", seed=0)], jobs=1)
         assert outcomes[0].ok
@@ -310,13 +490,21 @@ class TestHarnessBitIdentity:
 
     def test_jobs_and_cache_equivalence(self, tmp_path):
         cache = ResultCache(root=str(tmp_path))
-        serial = run_conform(cases=self.CASES, jobs=1, cache=None)
-        parallel = run_conform(cases=self.CASES, jobs=2, cache=cache)
-        warm = run_conform(cases=self.CASES, jobs=2, cache=cache)
-        assert serial["fingerprint"] == parallel["fingerprint"]
-        assert parallel["fingerprint"] == warm["fingerprint"]
-        assert warm["runner"]["from_cache"] == self.CASES
-        assert serial["failed"] == 0
+        fingerprints = set()
+        for source in ("program", "patterns"):
+            serial = run_conform(cases=self.CASES, jobs=1, cache=None,
+                                 source=source)
+            parallel = run_conform(cases=self.CASES, jobs=2, cache=cache,
+                                   source=source)
+            warm = run_conform(cases=self.CASES, jobs=2, cache=cache,
+                               source=source)
+            assert serial["fingerprint"] == parallel["fingerprint"]
+            assert parallel["fingerprint"] == warm["fingerprint"]
+            assert warm["runner"]["from_cache"] == self.CASES
+            assert warm["runner"]["cache"]["hits"] == self.CASES
+            assert serial["failed"] == 0
+            fingerprints.add(serial["fingerprint"])
+        assert len(fingerprints) == 2
 
     def test_fingerprint_covers_every_case(self):
         from repro.conform import ConformCaseResult
@@ -356,9 +544,9 @@ class TestHarnessFailurePath:
         def fake_run_jobs(specs, jobs=None, cache=None, progress=None):
             outcomes = []
             for i, spec in enumerate(specs):
-                faults = bool((spec.workload_args or {}).get("faults"))
                 data = run_conform_case(
-                    make_case(spec.seed, faults=faults)).as_dict()
+                    make_case(spec.seed, **(spec.workload_args or {}))
+                ).as_dict()
                 if spec.seed in forced_mismatch:
                     data.update(outcome="mismatch", detail="forced",
                                 mismatches=[{"kind": "forced",

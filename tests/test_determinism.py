@@ -3,8 +3,8 @@
 Every performance optimisation or simplification of the simulator kernel
 (same-cycle FIFO, callback-driven directory server, memoized routing,
 cached scan orders) is required to preserve exact event ordering, or
-to move it once, on purpose, with the oracle and chaos campaigns as
-evidence (see the re-pin notes on ``_PINNED``).  This test pins that contract: running
+to move it once, on purpose, with conform campaigns as evidence (see
+the re-pin notes on ``_PINNED``).  This test pins that contract: running
 the same seeded workload twice — in fresh systems — must reproduce the
 cycle count, commit/violation totals, and traffic byte counts exactly.
 """
@@ -61,8 +61,12 @@ def test_different_seeds_differ():
 # next message's start run in the service timer's callback) and a
 # processor's compute sleep became one `yield cycles` event instead of
 # a `Timeout` plus its fan-out.  The modelled latencies are unchanged;
-# only the order of same-cycle events moved, which the oracle and
-# chaos campaigns checked.
+# only the order of same-cycle events moved, which the oracle and the
+# fault-injection campaigns of the time checked.
+#
+# The gate for any future re-pin: `repro conform --cases 500` passes
+# 500/500 for each `--source` (program, patterns), with and without
+# `--faults`.
 _PINNED = {
     8: dict(cycles=29_211, committed=64, violations=0,
             instructions=121_032, traffic_bytes=68_681, packets=3_120),

@@ -11,6 +11,7 @@ from repro.faults import (
     PacketFault,
     AckTracker,
     Retrier,
+    random_fault_plan,
 )
 from repro.network.message import Packet
 from repro.sim import Engine
@@ -87,6 +88,22 @@ def test_plan_coerces_lists_and_stays_hashable():
     assert plan.node_windows("dir_stall", 2) == ()
     assert "drop" in plan.describe()
     assert FaultPlan().describe() == "(no faults)"
+
+
+def test_random_fault_plans_are_bounded():
+    kinds = set()
+    for seed in range(30):
+        plan = random_fault_plan(seed, n_nodes=8)
+        assert plan == random_fault_plan(seed, n_nodes=8)
+        assert plan.seed == seed
+        assert 1 <= len(plan.packet_faults) <= 3
+        for rule in plan.packet_faults:
+            assert 0.01 <= rule.probability <= 0.10
+        for fault in plan.node_faults:
+            assert fault.node < 8
+            assert fault.duration <= 4_000
+            kinds.add(fault.kind)
+    assert kinds == {"dir_stall", "cpu_pause"}
 
 
 def test_rule_matching_filters():
@@ -310,7 +327,8 @@ def _hardened_processor():
 def test_stale_dup_invalidation_cannot_destroy_committed_words():
     """An invalidation whose TID predates the commit that produced our
     dirty copy must not clear those words or flush ownership — they can
-    be the only architectural copy of the line (chaos seed 379)."""
+    be the only architectural copy of the line (``conform --source patterns
+    --faults`` seed 379)."""
     proc = _hardened_processor()
     words = proc.config.line_size // proc.config.word_size
     proc.hierarchy.fill(7, list(range(words)))

@@ -8,7 +8,7 @@ import pytest
 
 from repro import SystemConfig
 from repro.analysis.sweep import Sweep
-from repro.faults.chaos import run_chaos
+from repro.conform import make_case, run_conform, run_conform_case
 from repro.runner import (
     JobSpec,
     ResultCache,
@@ -43,7 +43,7 @@ class TestJobSpec:
     def test_key_changes_with_inputs(self):
         base = sim_spec()
         assert base.key() != sim_spec({"n_counters": 3}).key()
-        assert base.key() != JobSpec(kind="chaos", seed=1).key()
+        assert base.key() != JobSpec(kind="conform", seed=1).key()
         bigger = JobSpec(kind="sim", workload="counter",
                          config=SystemConfig(n_processors=4),
                          max_cycles=50_000_000)
@@ -56,13 +56,13 @@ class TestJobSpec:
         with pytest.raises(ValueError, match="kind"):
             JobSpec(kind="nope", workload="counter")
         with pytest.raises(ValueError, match="seed"):
-            JobSpec(kind="chaos")
+            JobSpec(kind="conform")
         with pytest.raises(ValueError, match="workload"):
             JobSpec(kind="sim")
 
     def test_describe(self):
         assert sim_spec(label="pt-3").describe() == "pt-3"
-        assert JobSpec(kind="chaos", seed=7).describe() == "chaos seed=7"
+        assert JobSpec(kind="conform", seed=7).describe() == "conform seed=7"
         assert sim_spec().describe() == "sim counter@2"
 
 
@@ -125,11 +125,14 @@ class TestRunJobs:
         assert [o.summary().fingerprint() for o in cold] == \
                [o.summary().fingerprint() for o in warm]
 
-    def test_chaos_job_matches_direct_run(self):
-        outcomes, _ = run_jobs([JobSpec(kind="chaos", seed=11)], jobs=1)
+    def test_conform_patterns_job_matches_direct_run(self):
+        args = {"faults": True, "source": "patterns"}
+        outcomes, _ = run_jobs(
+            [JobSpec(kind="conform", seed=11, workload_args=args)], jobs=1)
         case = outcomes[0].payload["case"]
         assert case["seed"] == 11
         assert case["outcome"] == "ok"
+        assert case == run_conform_case(make_case(11, **args)).as_dict()
 
     def test_error_is_captured_not_raised(self):
         bad = JobSpec(kind="sim", workload="no-such-workload", config=CONFIG)
@@ -302,22 +305,28 @@ class TestSweepRunner:
             sweep.run(cache=ResultCache(root=".unused"))
 
 
-class TestChaosReportShape:
+class TestConformReportShape:
     def test_report_is_summary_only_by_default(self):
-        report = run_chaos(cases=2, seed0=500)
+        report = run_conform(cases=2, seed0=500, source="patterns",
+                             faults=True)
         assert "results" not in report
         assert report["passed"] == 2
         assert report["runner"]["total"] == 2
 
     def test_full_opt_in_restores_per_case_results(self):
-        report = run_chaos(cases=2, seed0=500, full=True)
+        report = run_conform(cases=2, seed0=500, source="patterns",
+                             faults=True, full=True)
         assert len(report["results"]) == 2
         assert report["results"][0]["seed"] == 500
 
     def test_cached_campaign_is_equivalent(self, tmp_path):
         cache = ResultCache(root=str(tmp_path))
-        cold = run_chaos(cases=3, seed0=500, cache=cache)
-        warm = run_chaos(cases=3, seed0=500, cache=cache)
+        cold = run_conform(cases=3, seed0=500, source="patterns",
+                           faults=True, cache=cache)
+        warm = run_conform(cases=3, seed0=500, source="patterns",
+                           faults=True, cache=cache)
         assert warm["runner"]["from_cache"] == 3
-        for key in ("passed", "failed", "fault_totals", "outcome_counts"):
+        assert warm["runner"]["cache"]["hits"] == 3
+        for key in ("passed", "failed", "fault_totals", "outcome_counts",
+                    "fingerprint"):
             assert cold[key] == warm[key]
