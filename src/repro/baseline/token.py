@@ -9,7 +9,8 @@ original bus-based TCC on the mesh.
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from collections import deque
+from typing import Deque, Dict, Set
 
 from repro.core.messages import (
     TokenInv,
@@ -18,6 +19,43 @@ from repro.core.messages import (
     TokenWriteAck,
 )
 from repro.processor.commit import CommitEngine
+from repro.sim import PARK, Process
+
+
+class CommitToken:
+    """The one global commit token, with a FIFO of parked processes.
+
+    ``yield token.acquire(process)`` continues at once (``yield 0``) when
+    the token is free, and otherwise parks until a ``release`` hands the
+    token to the head of the queue.
+    """
+
+    def __init__(self) -> None:
+        self.held = False
+        self._waiters: Deque[Process] = deque()
+        self.total_acquisitions = 0
+
+    @property
+    def queue_length(self) -> int:
+        return len(self._waiters)
+
+    def acquire(self, process: Process):
+        """What ``process`` yields to take the token: 0 or ``PARK``."""
+        if self.held:
+            self._waiters.append(process)
+            return PARK
+        self.held = True
+        self.total_acquisitions += 1
+        return 0
+
+    def release(self) -> None:
+        if not self.held:
+            raise RuntimeError("release of the commit token while not held")
+        if self._waiters:
+            self.total_acquisitions += 1
+            self._waiters.popleft().resume()
+        else:
+            self.held = False
 
 
 class TokenCommitEngine(CommitEngine):
@@ -54,7 +92,7 @@ class TokenCommitEngine(CommitEngine):
         proc = self.proc
         cfg = proc.config
 
-        yield proc.system.token.acquire()
+        yield proc.system.token.acquire(proc._process)
         if proc.violated:
             proc.system.token.release()
             return False

@@ -90,11 +90,6 @@ class SystemConfig:
     #: forces the hardened paths on a perfect fabric (for testing);
     #: False under faults demonstrates the watchdog catching the hang.
     harden_protocol: Optional[bool] = None
-    #: First resend after ``retry_timeout`` cycles; each retry multiplies
-    #: the wait by ``retry_backoff`` up to ``retry_timeout_cap``.
-    retry_timeout: int = 2000
-    retry_backoff: int = 2
-    retry_timeout_cap: int = 32_000
     #: Progress watchdog.  None = auto (armed exactly when a fault plan
     #: is set); it raises WatchdogStall after ``watchdog_stall_checks``
     #: consecutive ``watchdog_interval``-cycle windows without a commit.
@@ -156,15 +151,6 @@ class SystemConfig:
                     "fault injection requires the 'scalable' commit backend "
                     "(token-protocol messages have no end-to-end retry)"
                 )
-        if self.retry_timeout < 1:
-            raise ValueError(f"retry_timeout must be >= 1, got {self.retry_timeout}")
-        if self.retry_backoff < 1:
-            raise ValueError(f"retry_backoff must be >= 1, got {self.retry_backoff}")
-        if self.retry_timeout_cap < self.retry_timeout:
-            raise ValueError(
-                f"retry_timeout_cap ({self.retry_timeout_cap}) must be >= "
-                f"retry_timeout ({self.retry_timeout})"
-            )
         if self.watchdog_interval < 1:
             raise ValueError(
                 f"watchdog_interval must be >= 1, got {self.watchdog_interval}"

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
+from repro.baseline.token import CommitToken
 from repro.core.config import SystemConfig
 from repro.core.messages import (
     AbortMsg,
@@ -40,7 +41,7 @@ from repro.network.interconnect import Interconnect, TrafficStats
 from repro.processor.core import TCCProcessor
 from repro.processor.stats import ProcessorStats
 from repro.profiling.tape import TapeProfiler
-from repro.sim import Barrier, Engine, Resource
+from repro.sim import PARK, Engine, Process
 from repro.verify.serializability import CommitRecord, SerializabilityChecker
 from repro.workloads.base import ScheduleItem, Workload
 
@@ -198,8 +199,9 @@ class ScalableTCCSystem:
         else:
             self.events = None
         self.commit_log: List[CommitRecord] = []
-        self.barrier: Optional[Barrier] = None
-        self.token = Resource(self.engine, name="commit-token")
+        # Processes parked at the workload barrier, in arrival order.
+        self._barrier_waiters: List[Process] = []
+        self.token = CommitToken()
 
         # Fault injection and protocol hardening (repro.faults).  All of
         # this is None/inert for plain fault-free configs, whose event
@@ -299,7 +301,6 @@ class ScalableTCCSystem:
             raise RuntimeError("a system instance runs exactly one workload")
         self._ran = True
         n = self.config.n_processors
-        self.barrier = Barrier(self.engine, n, name="workload-barrier")
         # The program the oracle judges, recorded as the processors pull it.
         schedules: List[List[ScheduleItem]] = [[] for _ in range(n)]
         for node, processor in enumerate(self.processors):
@@ -361,6 +362,21 @@ class ScalableTCCSystem:
                                              self.config.word_size)
             checker.check(schedules, self.commit_log, result.memory_image)
         return result
+
+    def arrive_at_barrier(self, process: Process):
+        """What ``process`` yields on reaching the workload barrier.
+
+        Every processor but the last parks (``PARK``).  The last to
+        arrive resumes the earlier ones in arrival order, then continues
+        itself with ``yield 0``, after them."""
+        waiters = self._barrier_waiters
+        if len(waiters) + 1 < self.config.n_processors:
+            waiters.append(process)
+            return PARK
+        self._barrier_waiters = []
+        for waiter in waiters:
+            waiter.resume()
+        return 0
 
     def _drain(self) -> None:
         """Push all committed-dirty cache data home so memory is complete."""

@@ -1,4 +1,4 @@
-"""Timeout-driven resend with capped exponential backoff.
+"""Resend on a timer, with capped exponential backoff.
 
 The hardened protocol never blocks on a single delivery: every
 commit-critical request (TID request, probe, mark, commit, load) gets a
@@ -16,6 +16,12 @@ any resend), so a quiesced system drains naturally.
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, Optional, Set
+
+#: First resend ``RETRY_TIMEOUT`` cycles after the request; each retry
+#: multiplies the wait by ``RETRY_BACKOFF``, up to ``RETRY_TIMEOUT_CAP``.
+RETRY_TIMEOUT = 2000
+RETRY_BACKOFF = 2
+RETRY_TIMEOUT_CAP = 32_000
 
 
 class Retrier:
@@ -35,9 +41,9 @@ class Retrier:
         engine: Any,
         resend: Callable[[], None],
         done: Callable[[], bool],
-        base_timeout: int,
-        backoff: int,
-        cap: int,
+        base_timeout: int = RETRY_TIMEOUT,
+        backoff: int = RETRY_BACKOFF,
+        cap: int = RETRY_TIMEOUT_CAP,
         stats: Any = None,
     ) -> None:
         self.engine = engine
@@ -76,9 +82,9 @@ class AckTracker:
         engine: Any,
         targets: Iterable[int],
         make_send: Callable[[int], None],
-        base_timeout: int,
-        backoff: int,
-        cap: int,
+        base_timeout: int = RETRY_TIMEOUT,
+        backoff: int = RETRY_BACKOFF,
+        cap: int = RETRY_TIMEOUT_CAP,
         stats: Any = None,
     ) -> None:
         self.pending: Set[int] = set(targets)

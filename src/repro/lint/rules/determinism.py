@@ -39,9 +39,10 @@ _WALLCLOCK_SUFFIXES = (
 
 #: Call names that hand work to the event queue or the network — the
 #: sinks that make iteration order observable in the simulated world.
+#: ``resume`` queues a parked process's next step, so the order of a
+#: resume loop is the order in which the processes run.
 _SCHEDULING_SINKS = {
-    "multicast", "schedule", "schedule_call", "schedule_many",
-    "fire", "fire_in", "subscribe", "deliver", "put",
+    "multicast", "schedule_call", "schedule_many", "deliver", "resume",
 }
 
 

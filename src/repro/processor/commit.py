@@ -61,9 +61,7 @@ class CommitEngine:
     def _retry(self, resend, done) -> None:
         """Arm a timeout-retry for one request (hardened protocol only)."""
         proc = self.proc
-        cfg = proc.config
-        Retrier(proc.engine, resend, done, cfg.retry_timeout,
-                cfg.retry_backoff, cfg.retry_timeout_cap, proc.fault_stats)
+        Retrier(proc.engine, resend, done, stats=proc.fault_stats)
 
     def acquire_tid(self):
         """Fetch a TID from the global vendor (a network round trip)."""
@@ -265,13 +263,11 @@ class ScalableCommitEngine(CommitEngine):
         if not proc._hardened:
             proc.multicast(targets, SkipMsg(tid))
             return
-        cfg = proc.config
         proc.multicast(targets, SkipMsg(tid, proc.node))
         proc._skip_trackers[tid] = AckTracker(
             proc.engine, targets,
             lambda d: proc._send(d, SkipMsg(tid, proc.node)),
-            cfg.retry_timeout, cfg.retry_backoff, cfg.retry_timeout_cap,
-            proc.fault_stats,
+            stats=proc.fault_stats,
         )
 
     def _send_probe(self, directory: int, tid: int, writing: bool,
@@ -301,7 +297,6 @@ class ScalableCommitEngine(CommitEngine):
                          want_ack=hardened),
             )
         if hardened:
-            cfg = proc.config
             proc._abort_trackers[(tid, attempt)] = AckTracker(
                 proc.engine, targets,
                 lambda d: proc._send(
@@ -309,6 +304,5 @@ class ScalableCommitEngine(CommitEngine):
                     AbortMsg(proc.node, tid, retain=retain, attempt=attempt,
                              want_ack=True),
                 ),
-                cfg.retry_timeout, cfg.retry_backoff, cfg.retry_timeout_cap,
-                proc.fault_stats,
+                stats=proc.fault_stats,
             )

@@ -118,6 +118,8 @@ class TCCProcessor:
         # TID request or a commit-engine wait; the matching handler
         # resumes it.  At most one of these flags is set at a time, and
         # ``Process.resume`` raises if a second wake-up slips through.
+        # It also parks at the workload barrier and for the token
+        # baseline's commit token, which keep their own queues.
         self._process: Optional[Process] = None
         self._waiting = False
         self._tid_waiting = False
@@ -423,7 +425,7 @@ class TCCProcessor:
                 if cycles := self._take_local_cycles():
                     yield cycles
                 arrived = self.engine.now
-                yield self.system.barrier.wait()
+                yield self.system.arrive_at_barrier(self._process)
                 self.stats.idle_cycles += self.engine.now - arrived
             else:
                 while not (yield from self._attempt(item)):
@@ -624,8 +626,7 @@ class TCCProcessor:
             Retrier(
                 self.engine, resend,
                 lambda: self._fetches != fetch or self._load_line is None,
-                self.config.retry_timeout, self.config.retry_backoff,
-                self.config.retry_timeout_cap, self.fault_stats,
+                stats=self.fault_stats,
             )
         yield PARK  # the reply handler fills the cache and resumes us
         self._attempt_miss += self.engine.now - started

@@ -2,8 +2,8 @@
 
 The queue is two structures behind one deterministic ordering:
 
-* a plain FIFO for zero-delay work (process wake-ups, event fan-out),
-  where a deque append/popleft is far cheaper than a heap push/pop;
+* a plain FIFO for zero-delay work (mostly process wake-ups), where a
+  deque append/popleft is far cheaper than a heap push/pop;
 * a heapq of ``(cycle, seq, fn, arg)`` for every positive delay.
 
 Execution order is exactly the classic ``(cycle, seq)`` order of a
@@ -25,7 +25,9 @@ from typing import Any, Callable, Iterable, Optional
 
 
 class SimulationError(RuntimeError):
-    """Raised for kernel misuse (negative delays, running a dead engine)."""
+    """Raised for kernel misuse: a negative delay, a re-entrant ``run()``,
+    a process that yields anything but a non-negative ``int`` or
+    ``PARK``, or a ``resume`` of a process that is not parked."""
 
 
 class _NoValue:
@@ -48,8 +50,8 @@ class Engine:
 
     The engine is deliberately tiny: it knows nothing about processes or
     hardware, it only runs ``(cycle, seq, callback)`` entries in
-    deterministic order.  Higher layers (events, processes, resources,
-    directory controllers) build on :meth:`schedule` /
+    deterministic order.  Higher layers (processes, directory
+    controllers, retry timers, the interconnect) build on
     :meth:`schedule_call`.
     """
 
@@ -67,20 +69,16 @@ class Engine:
         """Current simulation time in cycles."""
         return self._now
 
-    def schedule(self, delay: int, callback: Callable[[], None]) -> None:
-        """Run ``callback()`` ``delay`` cycles from now.
-
-        ``delay`` must be a non-negative integer; a zero delay runs the
-        callback later in the current cycle, after already-queued work for
-        this cycle.
-        """
-        self.schedule_call(delay, callback)
-
     def schedule_call(
         self, delay: int, fn: Callable, arg: Any = _NO_VALUE
     ) -> None:
-        """Like :meth:`schedule`, but runs ``fn(arg)`` (or ``fn()`` when
-        ``arg`` is omitted) without a per-event closure."""
+        """Run ``fn(arg)`` (or ``fn()`` when ``arg`` is omitted) ``delay``
+        cycles from now, without a per-event closure.
+
+        ``delay`` must be a non-negative integer; a zero delay runs the
+        call later in the current cycle, after already-queued work for
+        this cycle.
+        """
         if delay >= 1:
             self._seq += 1
             _heappush(self._heap, (self._now + int(delay), self._seq, fn, arg))

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Any, Generator, Union
 
 from repro.sim.engine import Engine, SimulationError
-from repro.sim.events import Event
 
 
 class _Park:
@@ -18,33 +17,30 @@ class _Park:
 #: Yielded by a process that another agent wakes with :meth:`Process.resume`.
 PARK = _Park()
 
-ProcessGenerator = Generator[Union[Event, int, _Park, None], Any, Any]
+ProcessGenerator = Generator[Union[int, _Park], Any, Any]
 
 
-class Process(Event):
-    """A simulated agent: a generator that yields what it waits for.
-
-    The process itself is an :class:`Event` that fires when the generator
-    returns, with the generator's return value — so processes can wait on
-    each other (fork/join) just by yielding a child process.
+class Process:
+    """A simulated agent: a generator that yields how it waits.
 
     A generator may yield:
 
-    * an :class:`Event` — the process resumes when it fires, and the
-      ``yield`` expression evaluates to the event's value;
     * a non-negative ``int`` ``n`` — resume ``n`` cycles from now (one
-      engine event, no :class:`Event` allocated); ``yield 0`` resumes
-      later in the same cycle;
-    * ``None`` — resume later in the same cycle (a cooperative yield);
+      engine event); ``yield 0`` resumes later in the same cycle, after
+      the work already queued for it;
     * :data:`PARK` — stay suspended until some callback calls
       :meth:`resume`, whose value the ``yield`` evaluates to.
+
+    Every wait in the simulator is one of these two: a processor sleeps
+    off compute with ``yield n`` and parks on a load, a TID, a commit
+    acknowledgement, the workload barrier or the commit token.
 
     Exceptions raised inside the generator propagate out of the engine's
     ``run()`` — architectural bugs should crash the simulation loudly, not
     be swallowed.
     """
 
-    __slots__ = ("generator", "name", "_parked")
+    __slots__ = ("engine", "generator", "name", "_parked")
 
     def __init__(
         self,
@@ -52,12 +48,12 @@ class Process(Event):
         generator: ProcessGenerator,
         name: str = "process",
     ) -> None:
-        super().__init__(engine)
         if not hasattr(generator, "send"):
             raise SimulationError(
                 f"Process needs a generator, got {type(generator).__name__}; "
                 "did you call the function instead of passing its generator?"
             )
+        self.engine = engine
         self.generator = generator
         self.name = name
         self._parked = False
@@ -66,8 +62,7 @@ class Process(Event):
     def _step(self, value: Any) -> None:
         try:
             target = self.generator.send(value)
-        except StopIteration as stop:
-            self.fire(stop.value)
+        except StopIteration:
             return
         # ``type() is int`` keeps ``True``/``False`` illegal.
         if type(target) is int:
@@ -79,24 +74,20 @@ class Process(Event):
             self.engine.schedule_call(target, self._step, None)
         elif target is PARK:
             self._parked = True
-        elif target is None:
-            self.engine.schedule_call(0, self._step, None)
-        elif isinstance(target, Event):
-            target.subscribe(self._step)
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes may "
-                "only yield Event instances, non-negative ints, PARK or None"
+                "only yield non-negative ints or PARK"
             )
 
     def resume(self, value: Any = None) -> None:
         """Wake a process parked with ``yield PARK``: the generator
-        continues later in the current cycle with ``value``, in the same
-        order as waking it through a fired :class:`Event`.
+        continues later in the current cycle with ``value``, after the
+        work already queued for it.
 
         Raises :class:`SimulationError` unless the process is parked and
-        not yet woken: a wake-up that lands while it sleeps, waits on an
-        event or was already resumed would push it past that wait."""
+        not yet woken: a wake-up that lands while it sleeps or was
+        already resumed would push it past that wait."""
         if not self._parked:
             raise SimulationError(
                 f"process {self.name!r} resumed while not parked"
@@ -105,5 +96,5 @@ class Process(Event):
         self.engine.schedule_call(0, self._step, value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "done" if self.fired else "running"
+        state = "parked" if self._parked else "running"
         return f"Process({self.name!r}, {state})"

@@ -8,3 +8,10 @@ class Broadcaster:
 
     def _send(self, node, msg):
         pass
+
+
+class Rendezvous:
+    def release(self, parked: set):
+        # Set order decides which woken process runs first.
+        for process in parked:
+            process.resume()

@@ -32,9 +32,6 @@ from repro.faults import FaultPlan, PacketFault
     dict(link_bytes_per_cycle=0),
     dict(tid_vendor_node=-1),
     dict(n_processors=4, tid_vendor_node=4),
-    dict(retry_timeout=0),
-    dict(retry_backoff=0),
-    dict(retry_timeout_cap=10),  # below the default retry_timeout
     dict(watchdog_interval=0),
     dict(watchdog_stall_checks=0),
     dict(livelock_abort_threshold=0),

@@ -60,7 +60,7 @@ def test_different_seeds_differ():
 # three (service starts where the message arrives; the handler and the
 # next message's start run in the service timer's callback) and a
 # processor's compute sleep became one `yield cycles` event instead of
-# a `Timeout` plus its fan-out.  The modelled latencies are unchanged;
+# a timer event plus its fan-out.  The modelled latencies are unchanged;
 # only the order of same-cycle events moved, which the oracle and the
 # fault-injection campaigns of the time checked.
 #
@@ -99,6 +99,34 @@ def _drop_dup_plan(seed):
 def test_faulty_runs_are_bit_identical():
     kwargs = {"fault_plan": _drop_dup_plan(11)}
     assert _fingerprint(8, seed=0, **kwargs) == _fingerprint(8, seed=0, **kwargs)
+
+
+# The token baseline and a faulty run, pinned too: each parks processors
+# at the commit token or the workload barrier, or runs the hardened
+# protocol's retry timers, so a change to the order in which those wake
+# processors moves one of these.
+_PINNED_TOKEN = {
+    8: dict(cycles=28_861, committed=64, violations=0,
+            instructions=121_032, traffic_bytes=55_190, packets=2_600),
+    32: dict(cycles=11_423, committed=64, violations=2,
+             instructions=126_353, traffic_bytes=80_388, packets=5_858),
+}
+_PINNED_FAULTY_8 = dict(cycles=69_650, committed=64, violations=0,
+                        instructions=121_032, traffic_bytes=80_491,
+                        packets=3_886)
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_token_backend_runs_match_pinned_fingerprints(n):
+    fingerprint = _fingerprint(n, seed=0, commit_backend="token")
+    observed = {key: fingerprint[key] for key in _PINNED_TOKEN[n]}
+    assert observed == _PINNED_TOKEN[n]
+
+
+def test_faulty_run_matches_pinned_fingerprint():
+    fingerprint = _fingerprint(8, seed=0, fault_plan=_drop_dup_plan(11))
+    observed = {key: fingerprint[key] for key in _PINNED_FAULTY_8}
+    assert observed == _PINNED_FAULTY_8
 
 
 def test_fault_plan_seed_changes_the_run():

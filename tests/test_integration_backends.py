@@ -3,7 +3,7 @@
 import pytest
 
 from repro import ScalableTCCSystem, SystemConfig
-from repro.sim import Resource
+from repro.baseline.token import CommitToken
 from repro.workloads import (
     CounterWorkload,
     FalseSharingWorkload,
@@ -69,7 +69,7 @@ def test_token_backend_serializes_commits():
     exclusively — total acquisitions must be at least the commit count."""
     wl = PrivateWorkload(tx_per_proc=4)
     system, result = run(wl, commit_backend="token")
-    assert isinstance(system.token, Resource)
+    assert isinstance(system.token, CommitToken)
     assert system.token.total_acquisitions >= result.committed_transactions
     assert not system.token.held
 

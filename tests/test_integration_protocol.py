@@ -113,7 +113,6 @@ def test_commit_does_not_push_data_to_memory():
 
     system = ScalableTCCSystem(SystemConfig(n_processors=1, ordered_network=True))
     # run without drain interference: run the workload, check memory pre-drain
-    system.barrier = None
     result = system.run(Probe(), max_cycles=10_000_000)
     # after drain the data is home:
     assert result.memory_image[0][0] == 9

@@ -101,6 +101,15 @@ def test_rule_quiet_on_good_fixture(rule_id):
     )
 
 
+def test_unordered_iter_flags_a_set_ordered_resume_loop():
+    # Waking parked processes queues their next steps: the loop order is
+    # the order in which they run.
+    result = lint_fixture_file("det_unordered_iter_bad.py")
+    sinks = [f.message for f in result.findings
+             if f.rule == "det-unordered-iter"]
+    assert any("`process.resume`" in message for message in sinks), sinks
+
+
 def test_sim_scope_rules_skip_driver_modules():
     # The same global-RNG source, loaded *without* a sim root importing
     # it, is driver-path and exempt from determinism rules.

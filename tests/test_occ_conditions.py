@@ -85,7 +85,7 @@ class TestCondition3Overlap:
         )
         system.run(Scripted(heavy_commit_schedules(8)),
                    max_cycles=200_000_000)
-        # Token hold spans: use the Resource accounting — one at a time
+        # Token hold spans: use the token's accounting — one at a time
         # by construction; confirm the machine actually serialized by
         # comparing against the scalable run's wall clock.
         assert system.token.total_acquisitions == 48

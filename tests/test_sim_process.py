@@ -1,50 +1,38 @@
-"""Unit tests for generator processes."""
+"""Unit tests for generator processes: ``yield n`` sleeps, ``yield PARK``
+waits for :meth:`Process.resume`."""
 
 import pytest
 
-from repro.sim import PARK, Engine, Event, Process, Timeout
+from repro.sim import PARK, Engine, Process
 from repro.sim.engine import SimulationError
 
 
-def test_process_runs_and_returns_value():
+def test_process_runs_to_completion():
     engine = Engine()
+    log = []
 
     def worker():
-        yield Timeout(engine, 5)
-        return "done"
-
-    proc = Process(engine, worker())
-    engine.run()
-    assert proc.fired
-    assert proc.value == "done"
-    assert engine.now == 5
-
-
-def test_yield_expression_receives_event_value():
-    engine = Engine()
-    seen = []
-
-    def worker():
-        got = yield Timeout(engine, 2, value=42)
-        seen.append(got)
+        yield 5
+        log.append(engine.now)
 
     Process(engine, worker())
     engine.run()
-    assert seen == [42]
+    assert log == [5]
+    assert engine.now == 5
 
 
-def test_yield_none_is_cooperative_yield():
+def test_yield_zero_is_cooperative_yield():
     engine = Engine()
     order = []
 
     def a():
         order.append("a1")
-        yield None
+        yield 0
         order.append("a2")
 
     def b():
         order.append("b1")
-        yield None
+        yield 0
         order.append("b2")
 
     Process(engine, a())
@@ -54,30 +42,12 @@ def test_yield_none_is_cooperative_yield():
     assert engine.now == 0
 
 
-def test_processes_can_join_each_other():
-    engine = Engine()
-
-    def child():
-        yield Timeout(engine, 7)
-        return "child-result"
-
-    results = []
-
-    def parent():
-        value = yield Process(engine, child(), name="child")
-        results.append((engine.now, value))
-
-    Process(engine, parent(), name="parent")
-    engine.run()
-    assert results == [(7, "child-result")]
-
-
 def test_yield_from_subroutine_composes():
     engine = Engine()
 
     def delay_twice(n):
-        yield Timeout(engine, n)
-        yield Timeout(engine, n)
+        yield n
+        yield n
         return n * 2
 
     totals = []
@@ -91,37 +61,6 @@ def test_yield_from_subroutine_composes():
     assert totals == [(8, 8)]
 
 
-def test_process_waits_on_plain_event():
-    engine = Engine()
-    gate = Event(engine)
-    log = []
-
-    def waiter():
-        value = yield gate
-        log.append((engine.now, value))
-
-    Process(engine, waiter())
-    engine.schedule(30, lambda: gate.fire("open"))
-    engine.run()
-    assert log == [(30, "open")]
-
-
-def test_two_processes_waiting_on_same_event():
-    engine = Engine()
-    gate = Event(engine)
-    woken = []
-
-    def waiter(tag):
-        yield gate
-        woken.append(tag)
-
-    Process(engine, waiter("x"))
-    Process(engine, waiter("y"))
-    engine.schedule(1, gate.fire)
-    engine.run()
-    assert sorted(woken) == ["x", "y"]
-
-
 def test_non_generator_rejected():
     engine = Engine()
     with pytest.raises(SimulationError):
@@ -129,8 +68,8 @@ def test_non_generator_rejected():
 
 
 def test_bad_yield_type_raises():
-    # Ints are sleeps; strings, floats and bools stay illegal.
-    for bad in ("x", 1.5, True):
+    # Ints are sleeps and PARK parks; anything else is illegal.
+    for bad in ("x", 1.5, True, None):
         engine = Engine()
 
         def worker():
@@ -154,7 +93,7 @@ def test_yield_int_resumes_exactly_that_many_cycles_later():
     Process(engine, worker())
     engine.run()
     assert woke == [5, 5]
-    # One engine event per sleep: no Event is fired in between.
+    # One engine event per step: the start and each sleep.
     assert engine.events_executed == 3
 
 
@@ -179,26 +118,45 @@ def test_parked_process_resumes_with_value():
 
     proc = Process(engine, worker())
     engine.run()
-    assert log == [] and not proc.fired
-    engine.schedule(12, lambda: proc.resume("go"))
+    assert log == []
+    engine.schedule_call(12, proc.resume, "go")
     engine.run()
     assert log == [(12, "go")]
-    assert proc.fired
 
 
-@pytest.mark.parametrize("wait", ["sleep", "event", "done"])
+def test_resumed_processes_run_in_resume_order():
+    # The barrier and the commit token rely on this: a batch of
+    # wake-ups runs in the order the resumes were made.
+    engine = Engine()
+    woken = []
+
+    def waiter(tag):
+        yield PARK
+        woken.append(tag)
+
+    x = Process(engine, waiter("x"))
+    y = Process(engine, waiter("y"))
+    engine.run()
+
+    def wake_y_then_x():
+        y.resume()
+        x.resume()
+
+    engine.schedule_call(1, wake_y_then_x)
+    engine.run()
+    assert woken == ["y", "x"]
+
+
+@pytest.mark.parametrize("wait", ["sleep", "done"])
 def test_resume_of_a_process_that_is_not_parked_raises(wait):
     engine = Engine()
-    gate = Event(engine)
 
     def worker():
         if wait == "sleep":
             yield 10
-        elif wait == "event":
-            yield gate
 
     proc = Process(engine, worker())
-    engine.schedule(3, proc.resume)
+    engine.schedule_call(3, proc.resume)
     with pytest.raises(SimulationError, match="not parked"):
         engine.run()
 
@@ -223,7 +181,7 @@ def test_exception_in_process_propagates():
     engine = Engine()
 
     def worker():
-        yield Timeout(engine, 1)
+        yield 1
         raise ValueError("architectural bug")
 
     Process(engine, worker())
