@@ -7,6 +7,7 @@ benchmark for the simulator substrate, not a paper number).
 """
 
 from repro import ScalableTCCSystem, SystemConfig
+from repro.memory import FirstTouchMapping
 
 
 def test_table2_defaults_reproduce_paper(benchmark, save_artifact):
@@ -23,7 +24,7 @@ def test_table2_defaults_reproduce_paper(benchmark, save_artifact):
     assert config.memory_latency == 100
     assert config.directory_latency == 10
     assert config.link_latency == 3  # Figure 8 sweeps around this default
-    assert config.first_touch
+    assert isinstance(ScalableTCCSystem(config).mapping, FirstTouchMapping)
     save_artifact("table2_config", "Table 2 — simulated architecture\n"
                   + config.describe())
 

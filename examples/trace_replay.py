@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
-"""Trace capture and replay: bring-your-own-workload support.
+"""Program capture and replay: bring-your-own-workload support.
 
-Materializes a generated workload into a JSON trace file, then replays
-the *identical* transaction schedule on two different machines — the
-scalable directory protocol and the small-scale token baseline — for an
-apples-to-apples architecture comparison.
+Materializes a generated workload into a JSON program file (the
+``ConformProgram`` format that counterexample files also use), then
+replays the *identical* transaction schedule on two different machines —
+the scalable directory protocol and the small-scale token baseline — for
+an apples-to-apples architecture comparison.
 
 Run:  python examples/trace_replay.py
 """
 
+import json
 import tempfile
 from pathlib import Path
 
 from repro import ScalableTCCSystem, SystemConfig, app_workload
-from repro.workloads.trace import TraceWorkload, save_trace
+from repro.conform import ConformProgram
 
 N_PROCS = 16
 APP = "water_nsquared"
@@ -24,18 +26,19 @@ def main() -> None:
         trace_path = Path(tmp) / f"{APP}.json"
 
         workload = app_workload(APP, scale=0.25)
-        save_trace(str(trace_path), workload, n_procs=N_PROCS, name=APP)
+        program = ConformProgram(N_PROCS, workload.schedules(N_PROCS))
+        trace_path.write_text(json.dumps(program.to_dict()))
         size_kb = trace_path.stat().st_size / 1024
         print(f"captured {APP} @ {N_PROCS} procs -> "
               f"{trace_path.name} ({size_kb:.0f} KB)")
 
         results = {}
         for backend in ("scalable", "token"):
-            replay = TraceWorkload.load(str(trace_path))
+            replay = ConformProgram.from_dict(json.loads(trace_path.read_text()))
             system = ScalableTCCSystem(
                 SystemConfig(n_processors=N_PROCS, commit_backend=backend)
             )
-            results[backend] = system.run(replay)
+            results[backend] = system.run(replay.to_workload())
 
         print(f"\nidentical schedule, two machines:")
         for backend, result in results.items():

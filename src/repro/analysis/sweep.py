@@ -1,20 +1,21 @@
 """Generic configuration sweeps over the application suite.
 
 A sweep takes a base :class:`SystemConfig`, a grid of config overrides,
-and a workload; it runs every grid point (fresh system each — systems
-are single-shot) and collects the results in a flat table that renders
-as text or CSV.  The Figure 7/8 drivers are special cases of this; the
-sweep exists for the *other* questions users ask ("what if lines were
-64 bytes?", "how does jitter interact with retention?").
+and a named workload; it runs every grid point (fresh system each —
+systems are single-shot) and collects the results in a flat table that
+renders as text or CSV.  The Figure 7/8 drivers are special cases of
+this; the sweep exists for the *other* questions users ask ("what if
+lines were 64 bytes?", "how does jitter interact with retention?").
 
-Grid points are independent, so ``run(jobs=N)`` fans them out over the
-:mod:`repro.runner` process pool, and ``run(cache=True)`` memoizes each
-point in the content-addressed result cache — a warm re-run of an
-unchanged sweep costs milliseconds.  Both require the workload to be
-*named* — a ``("app", {"name": "barnes", "scale": 0.5})`` spec rather
-than a bare callable — because a closure can neither cross a process
-boundary nor hash into a stable cache key.  Plain callables still work
-for ad-hoc in-process sweeps (``jobs=1``, no cache).
+Every grid point is a :class:`~repro.runner.JobSpec`, so ``run(jobs=N)``
+fans them out over the :mod:`repro.runner` process pool (``jobs=1``
+runs them in-process), and ``run(cache=True)`` memoizes each point in
+the content-addressed result cache — a warm re-run of an unchanged
+sweep costs milliseconds.  The workload is therefore *named*: a
+``("app", {"name": "barnes", "scale": 0.5})`` pair of a
+:data:`~repro.runner.WORKLOAD_FACTORIES` name and its keyword
+arguments, which (unlike a closure) crosses a process boundary and
+hashes into a stable cache key.
 """
 
 from __future__ import annotations
@@ -24,19 +25,16 @@ import dataclasses
 import difflib
 import io
 import itertools
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.tables import format_table
 from repro.core.config import SystemConfig
-from repro.core.system import ScalableTCCSystem
 from repro.runner import JobSpec, ResultSummary, RunnerStats, run_jobs
 from repro.runner.pool import CacheLike
-from repro.workloads.base import Workload
 
-WorkloadFactory = Callable[[SystemConfig], Workload]
-#: A named workload: a factory name from repro.runner.WORKLOAD_FACTORIES,
-#: optionally with keyword arguments.
-WorkloadSpec = Union[str, Tuple[str, Dict[str, Any]]]
+#: A named workload: a factory name from repro.runner.WORKLOAD_FACTORIES
+#: and its keyword arguments.
+WorkloadSpec = Tuple[str, Dict[str, Any]]
 
 _CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(SystemConfig))
 
@@ -77,20 +75,20 @@ class SweepPoint:
 
 
 class Sweep:
-    """Cartesian sweep over config dimensions."""
+    """Cartesian sweep of one named workload over config dimensions."""
 
     def __init__(
         self,
         base_config: SystemConfig,
         grid: Dict[str, Iterable[Any]],
-        workload_factory: Union[WorkloadFactory, WorkloadSpec],
+        workload: WorkloadSpec,
         max_cycles: Optional[int] = 5_000_000_000,
         verify: bool = True,
     ) -> None:
         self.base_config = base_config
         self.grid = {key: list(values) for key, values in grid.items()}
         _validate_grid_keys(self.grid)
-        self.workload_factory = workload_factory
+        self.workload = workload
         self.max_cycles = max_cycles
         self.verify = verify
         self.points: List[SweepPoint] = []
@@ -109,14 +107,6 @@ class Sweep:
             for combo in itertools.product(*(self.grid[k] for k in keys))
         ]
 
-    def _named_workload(self) -> Optional[Tuple[str, Dict[str, Any]]]:
-        if isinstance(self.workload_factory, str):
-            return self.workload_factory, {}
-        if isinstance(self.workload_factory, tuple):
-            name, args = self.workload_factory
-            return name, dict(args)
-        return None
-
     def run(
         self,
         jobs: Optional[int] = 1,
@@ -131,19 +121,7 @@ class Sweep:
         bit-identical across any jobs/cache setting.
         """
         combos = self._combos()
-        named = self._named_workload()
-        if named is None:
-            if (jobs not in (1,)) or cache:
-                raise ValueError(
-                    "parallel or cached sweeps need a named workload spec "
-                    "like ('app', {'name': 'barnes'}) — a bare callable "
-                    "cannot be pickled to a worker or hashed into a cache key"
-                )
-            self.points = self._run_callable(combos)
-            self.last_run_stats = None
-            return self.points
-
-        name, args = named
+        name, args = self.workload
         specs = []
         for overrides in combos:
             config = dataclasses.replace(self.base_config, **overrides)
@@ -169,21 +147,6 @@ class Sweep:
         ]
         self.last_run_stats = stats
         return self.points
-
-    def _run_callable(self, combos: List[Dict[str, Any]]) -> List[SweepPoint]:
-        """Legacy in-process path for arbitrary factory callables."""
-        points = []
-        for overrides in combos:
-            config = dataclasses.replace(self.base_config, **overrides)
-            system = ScalableTCCSystem(config)
-            workload = self.workload_factory(config)
-            result = system.run(
-                workload, max_cycles=self.max_cycles, verify=self.verify
-            )
-            points.append(
-                SweepPoint(overrides, ResultSummary.from_result(result))
-            )
-        return points
 
     def fingerprints(self) -> List[str]:
         """Per-point result fingerprints — the bit-exactness witness for

@@ -303,8 +303,7 @@ def cmd_sweep(args) -> int:
     )
     sweep.run(jobs=args.jobs, cache=_cache_from(args))
     print(sweep.as_table())
-    if sweep.last_run_stats is not None:
-        print(sweep.last_run_stats.describe())
+    print(sweep.last_run_stats.describe())
     if args.best:
         best = sweep.best(args.best)
         print(f"best {args.best}: {best.overrides} "

@@ -9,7 +9,9 @@ machines must agree on.  It converts losslessly to
   (:meth:`ConformProgram.to_workload`), whose schedules are also what
   the oracle judge reads, and
 * canonical JSON (:meth:`to_dict` / :meth:`from_dict`) — the format
-  counterexample files pin, so a shrunk failing program replays forever.
+  counterexample files pin, so a shrunk failing program replays forever,
+  and the way to bring an explicit program of your own (see
+  ``examples/trace_replay.py``).
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ class ConformWorkload(Workload):
         self.program = program
 
     def schedule(self, proc: int, n_procs: int) -> Iterator:
+        if n_procs != self.program.n_processors:
+            raise ValueError(
+                f"program is for {self.program.n_processors} processors, "
+                f"machine has {n_procs}"
+            )
         return iter(self.program.schedules[proc])
 
 
@@ -117,12 +124,15 @@ class ConformProgram:
             for entry in row:
                 if entry == _BARRIER_JSON:
                     items.append(BARRIER)
-                else:
+                elif (isinstance(entry, dict) and "tx_id" in entry
+                      and "ops" in entry):
                     items.append(Transaction(
                         entry["tx_id"],
                         [tuple(op) for op in entry["ops"]],
                         label=entry.get("label", ""),
                     ))
+                else:
+                    raise ValueError(f"bad schedule item: {entry!r}")
             schedules.append(items)
         return cls(
             n_processors=data["n_processors"],

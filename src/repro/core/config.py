@@ -13,7 +13,7 @@ Defaults reproduce the paper's simulated machine:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.faults.plan import FaultPlan
@@ -21,7 +21,13 @@ from repro.faults.plan import FaultPlan
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """All architecture knobs for one simulated machine."""
+    """All architecture knobs for one simulated machine.
+
+    What the paper fixes is not a knob: pages are placed first-touch,
+    the TID vendor sits at node 0 (:data:`repro.core.tid.VENDOR_NODE`),
+    and the hardened protocol and the progress watchdog are on exactly
+    when ``fault_plan`` is set.
+    """
 
     n_processors: int = 8
 
@@ -55,14 +61,13 @@ class SystemConfig:
     #: A message touching a line whose directory state is not cached pays
     #: an extra memory access to fetch it (Table 2's "directory cache").
     directory_cache_entries: Optional[int] = None
-    first_touch: bool = True
+    #: First-touch page placement granularity (the paper's only policy).
     page_size: int = 4096
 
     # Protocol policy
     commit_backend: str = "scalable"  # "scalable" | "token" (small-scale TCC)
     write_through_commit: bool = False  # ablation: data pushed home at commit
     retention_threshold: int = 4  # violations before a TID is retained
-    tid_vendor_node: int = 0
     #: Sharer-vector coarseness: 1 = the paper's full bit vector (one bit
     #: per processor); k > 1 = one bit per group of k processors, so an
     #: invalidation fans out to the whole group (extra spurious
@@ -75,30 +80,21 @@ class SystemConfig:
     event_log: bool = False
 
     # Verification
-    #: Check machine-wide protocol invariants every ``paranoid_interval``
-    #: cycles during the run (slow; for debugging protocol changes).
+    #: Check machine-wide protocol invariants every ``PARANOID_INTERVAL``
+    #: cycles (repro.core.system) during the run (slow; for debugging
+    #: protocol changes).
     paranoid: bool = False
-    paranoid_interval: int = 1000
 
     # Fault injection and resilience (repro.faults)
     #: Faults to inject this run (None = perfect fabric, the default;
     #: every fault-free code path is bit-identical to a build without
-    #: the faults subsystem).
+    #: the faults subsystem).  Setting one also turns on the hardened
+    #: protocol and the progress watchdog (:attr:`protocol_hardened`).
     fault_plan: Optional[FaultPlan] = None
-    #: Sequence-numbered request/ack + timeout-retry protocol hardening.
-    #: None = auto: hardened exactly when a fault plan is set.  True
-    #: forces the hardened paths on a perfect fabric (for testing);
-    #: False under faults demonstrates the watchdog catching the hang.
-    harden_protocol: Optional[bool] = None
-    #: Progress watchdog.  None = auto (armed exactly when a fault plan
-    #: is set); it raises WatchdogStall after ``watchdog_stall_checks``
+    #: The watchdog raises WatchdogStall after ``watchdog_stall_checks``
     #: consecutive ``watchdog_interval``-cycle windows without a commit.
-    watchdog: Optional[bool] = None
     watchdog_interval: int = 50_000
     watchdog_stall_checks: int = 4
-    #: Consecutive aborts of one transaction before the watchdog reports
-    #: a livelock episode (diagnostic only; TID retention is the cure).
-    livelock_abort_threshold: int = 64
 
     # Reproducibility
     seed: int = 0
@@ -136,11 +132,6 @@ class SystemConfig:
                 "link_bytes_per_cycle must be None (infinite) or >= 1, "
                 f"got {self.link_bytes_per_cycle}"
             )
-        if not 0 <= self.tid_vendor_node < self.n_processors:
-            raise ValueError(
-                f"tid_vendor_node {self.tid_vendor_node} outside "
-                f"[0, {self.n_processors})"
-            )
         if self.fault_plan is not None:
             if not isinstance(self.fault_plan, FaultPlan):
                 raise ValueError(
@@ -160,24 +151,11 @@ class SystemConfig:
                 f"watchdog_stall_checks must be >= 1, "
                 f"got {self.watchdog_stall_checks}"
             )
-        if self.livelock_abort_threshold < 1:
-            raise ValueError(
-                f"livelock_abort_threshold must be >= 1, "
-                f"got {self.livelock_abort_threshold}"
-            )
 
     @property
     def protocol_hardened(self) -> bool:
-        """Whether the seq/ack + retry protocol paths are active."""
-        if self.harden_protocol is not None:
-            return self.harden_protocol
-        return self.fault_plan is not None
-
-    @property
-    def watchdog_active(self) -> bool:
-        """Whether the progress watchdog is armed for this run."""
-        if self.watchdog is not None:
-            return self.watchdog
+        """Whether the seq/ack + retry protocol paths and the progress
+        watchdog are active: exactly when a fault plan is set."""
         return self.fault_plan is not None
 
     @property
@@ -203,8 +181,7 @@ class SystemConfig:
             f"ICN          2D grid, {self.link_latency} cycles/link"
             + ("" if not self.ordered_network else " (ordered)"),
             f"Main memory  {self.memory_latency} cycles",
-            f"Directory    full-bit-vector sharers, "
-            f"{'first-touch' if self.first_touch else 'interleaved'} allocate, "
+            "Directory    full-bit-vector sharers, first-touch allocate, "
             f"{self.directory_latency}-cycle directory cache",
             f"Tracking     {self.granularity}-granularity speculative state",
             f"Commit       {self.commit_backend}"

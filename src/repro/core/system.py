@@ -30,11 +30,11 @@ from repro.core.messages import (
     TokenWrite,
     WriteBackMsg,
 )
-from repro.core.tid import TidVendor
+from repro.core.tid import VENDOR_NODE, TidVendor
 from repro.directory.controller import DirectoryController
 from repro.faults.injector import FaultInjector, FaultStats
 from repro.faults.watchdog import ProgressWatchdog
-from repro.memory.address import AddressMap, FirstTouchMapping, InterleavedMapping
+from repro.memory.address import AddressMap, FirstTouchMapping
 from repro.memory.mainmem import MainMemory
 from repro.memory.hierarchy import PrivateHierarchy
 from repro.network.interconnect import Interconnect, TrafficStats
@@ -44,6 +44,9 @@ from repro.profiling.tape import TapeProfiler
 from repro.sim import PARK, Engine, Process
 from repro.verify.serializability import CommitRecord, SerializabilityChecker
 from repro.workloads.base import ScheduleItem, Workload
+
+#: Cycles between machine-wide invariant checks under ``paranoid``.
+PARANOID_INTERVAL = 1000
 
 #: Message types the node router hands to the directory (by exact type).
 _DIRECTORY_MESSAGES = frozenset({
@@ -184,13 +187,10 @@ class ScalableTCCSystem:
             jitter=config.network_jitter,
             seed=config.seed,
         )
-        if config.first_touch:
-            self.mapping = FirstTouchMapping(
-                config.n_processors, config.page_size, config.line_size
-            )
-        else:
-            self.mapping = InterleavedMapping(config.n_processors)
-        self.vendor = TidVendor(config.tid_vendor_node)
+        self.mapping = FirstTouchMapping(
+            config.n_processors, config.page_size, config.line_size
+        )
+        self.vendor = TidVendor()
         self.tape = TapeProfiler()
         if config.event_log:
             from repro.tracing import EventLog
@@ -208,9 +208,8 @@ class ScalableTCCSystem:
         # streams must stay bit-identical.
         self.fault_stats: Optional[FaultStats] = None
         self.fault_injector: Optional[FaultInjector] = None
-        if config.fault_plan is not None or config.protocol_hardened:
-            self.fault_stats = FaultStats()
         if config.fault_plan is not None:
+            self.fault_stats = FaultStats()
             self.fault_injector = FaultInjector(
                 config.fault_plan,
                 config.n_processors,
@@ -266,7 +265,7 @@ class ScalableTCCSystem:
     def _make_router(self, node: int):
         directory = self.directories[node]
         processor = self.processors[node]
-        is_vendor_node = node == self.config.tid_vendor_node
+        is_vendor_node = node == VENDOR_NODE
 
         def route(packet):
             msg = packet.payload
@@ -306,13 +305,13 @@ class ScalableTCCSystem:
         for node, processor in enumerate(self.processors):
             processor.process_for(
                 _recorded(workload.schedule(node, n), schedules[node]))
-        if self.config.watchdog_active:
+        if self.config.protocol_hardened:
             ProgressWatchdog(self, self.fault_stats).start()
         if self.config.paranoid:
             from repro.verify.invariants import check_system_invariants
 
             while self.engine.peek() is not None:
-                target = self.engine.now + self.config.paranoid_interval
+                target = self.engine.now + PARANOID_INTERVAL
                 if max_cycles is not None:
                     target = min(target, max_cycles)
                 self.engine.run(until=target)

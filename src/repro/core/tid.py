@@ -12,14 +12,16 @@ TIDs start at 1 so code can use 0/None as "no TID".
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Set
+
+#: The node hosting the vendor (Figure 1a puts it beside node 0).
+VENDOR_NODE = 0
 
 
 class TidVendor:
     """Central gap-free TID counter with resolution bookkeeping."""
 
-    def __init__(self, home_node: int = 0) -> None:
-        self.home_node = home_node
+    def __init__(self) -> None:
         self._next = 1
         self._outstanding: Dict[int, int] = {}  # tid -> owning processor
         self._resolved: Set[int] = set()

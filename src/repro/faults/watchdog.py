@@ -12,7 +12,7 @@ processor, directory, and the TID vendor — turning a hang into a
 diagnosis.
 
 It also watches per-transaction livelock: a processor whose
-consecutive-violation count reaches ``livelock_abort_threshold`` gets a
+consecutive-violation count reaches :data:`LIVELOCK_ABORT_THRESHOLD` gets a
 structured ``watchdog`` event in the trace (once per episode) and a
 ``livelock_episodes`` tick in the fault stats.  Livelock is *reported*,
 not raised — TID retention is the protocol's own cure, and the paper's
@@ -22,7 +22,11 @@ global stall check still fires if they do not.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, Set
+
+#: Consecutive aborts of one transaction before the watchdog reports a
+#: livelock episode (diagnostic only; TID retention is the cure).
+LIVELOCK_ABORT_THRESHOLD = 64
 
 
 class WatchdogStall(RuntimeError):
@@ -119,7 +123,11 @@ def format_stall_report(report: Dict[str, Any]) -> str:
 
 
 class ProgressWatchdog:
-    """Periodic progress sampler attached to one system run."""
+    """Periodic progress sampler attached to one system run.
+
+    Armed by :class:`~repro.core.system.ScalableTCCSystem` exactly when
+    the config has a fault plan.
+    """
 
     def __init__(self, system: Any, stats: Any = None) -> None:
         config = system.config
@@ -127,7 +135,6 @@ class ProgressWatchdog:
         self.stats = stats
         self.interval = config.watchdog_interval
         self.stall_checks = config.watchdog_stall_checks
-        self.livelock_threshold = config.livelock_abort_threshold
         self._last_commits = -1
         self._flat_ticks = 0
         self._livelocked: Set[int] = set()
@@ -168,7 +175,7 @@ class ProgressWatchdog:
     def _check_livelock(self) -> None:
         for proc in self.system.processors:
             count = proc._consecutive_violations
-            if count >= self.livelock_threshold:
+            if count >= LIVELOCK_ABORT_THRESHOLD:
                 if proc.node not in self._livelocked:
                     self._livelocked.add(proc.node)
                     if self.stats is not None:

@@ -7,7 +7,7 @@ the speculatively-modified (SM) and speculatively-read (SR) bits that TCC
 uses for lazy versioning and conflict detection.
 """
 
-from repro.memory.address import AddressMap, FirstTouchMapping, InterleavedMapping
+from repro.memory.address import AddressMap, FirstTouchMapping
 from repro.memory.cache import CacheLine, EvictionNotice, SpeculativeCache
 from repro.memory.hierarchy import AccessResult, PrivateHierarchy
 from repro.memory.mainmem import MainMemory
@@ -18,7 +18,6 @@ __all__ = [
     "CacheLine",
     "EvictionNotice",
     "FirstTouchMapping",
-    "InterleavedMapping",
     "MainMemory",
     "PrivateHierarchy",
     "SpeculativeCache",

@@ -3,8 +3,8 @@
 Addresses are plain byte-address integers.  The machine is parameterized
 by a line size (32 bytes in the paper's Table 2) and a word size (4 bytes,
 PowerPC).  The *home* of a line is the node whose directory and physical
-memory own it; the paper uses a first-touch page policy, and we also
-provide simple line-interleaving for workloads that want uniform spread.
+memory own it; the paper places pages first-touch
+(:class:`FirstTouchMapping`).
 """
 
 from __future__ import annotations
@@ -58,26 +58,6 @@ class AddressMap:
                 yield word
             mask >>= 1
             word += 1
-
-
-class InterleavedMapping:
-    """Home directory = line number modulo node count.
-
-    Spreads consecutive lines round-robin across nodes — the conventional
-    NUMA interleave.  Deterministic, stateless.
-    """
-
-    def __init__(self, n_nodes: int) -> None:
-        if n_nodes < 1:
-            raise ValueError("need at least one node")
-        self.n_nodes = n_nodes
-
-    def home(self, line: int) -> int:
-        return line % self.n_nodes
-
-    def touch(self, line: int, node: int) -> int:
-        """Interleaving ignores first touch; returns the fixed home."""
-        return self.home(line)
 
 
 class FirstTouchMapping:

@@ -44,6 +44,7 @@ from repro.core.messages import (
     SkipMsg,
     TidRequest,
 )
+from repro.core.tid import VENDOR_NODE
 from repro.faults.retry import AckTracker, Retrier
 from repro.sim import PARK
 
@@ -72,15 +73,13 @@ class CommitEngine:
             # so resending after a drop never mints a second TID.
             proc._tid_seq += 1
             seq = proc._tid_seq
-            proc._send(proc.config.tid_vendor_node, TidRequest(proc.node, seq))
+            proc._send(VENDOR_NODE, TidRequest(proc.node, seq))
             self._retry(
-                lambda: proc._send(
-                    proc.config.tid_vendor_node, TidRequest(proc.node, seq)
-                ),
+                lambda: proc._send(VENDOR_NODE, TidRequest(proc.node, seq)),
                 lambda: proc._tid_seq != seq or not proc._tid_waiting,
             )
         else:
-            proc._send(proc.config.tid_vendor_node, TidRequest(proc.node))
+            proc._send(VENDOR_NODE, TidRequest(proc.node))
         tid = yield PARK  # resumed by the TID reply
         proc.current_tid = tid
         proc.probe_replies = {}

@@ -208,17 +208,15 @@ def run_jobs(
 
     def finish(outcome: JobOutcome) -> None:
         outcomes[outcome.index] = outcome
-        spec = outcome.spec
-        if (outcome.ok and not outcome.cached and cache_obj is not None
-                and spec.cacheable):
-            cache_obj.put(spec.key(), outcome.payload)
+        if outcome.ok and not outcome.cached and cache_obj is not None:
+            cache_obj.put(outcome.spec.key(), outcome.payload)
         if progress is not None:
             progress(outcome)
 
     to_run: List[int] = []
     for i, spec in enumerate(specs):
         payload = None
-        if cache_obj is not None and spec.cacheable:
+        if cache_obj is not None:
             payload = cache_obj.get(spec.key())
         if payload is not None:
             stats.from_cache += 1

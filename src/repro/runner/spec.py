@@ -12,12 +12,15 @@ Two job kinds exist:
 
 ``sim``
     Build config + workload, run one system, summarize
-    (:class:`~repro.runner.summary.ResultSummary`).  Cacheable.
+    (:class:`~repro.runner.summary.ResultSummary`).
 ``conform``
     One seeded campaign case (``run_conform_case(make_case(seed,
     **args))``); the seed plus the ``faults`` flag and the ``source``
     name in ``workload_args`` determine program, machine, and fault
-    plan.  Cacheable (payloads carry no wall-clock fields).
+    plan.
+
+Every job is cached by :meth:`JobSpec.key` (payloads carry no
+wall-clock fields).
 """
 
 from __future__ import annotations
@@ -25,18 +28,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from repro.core.config import SystemConfig
 from repro.workloads.apps import app_workload
 from repro.workloads.base import Workload
 from repro.workloads.micro import CounterWorkload
-from repro.workloads.tm_patterns import (
-    ListSetWorkload,
-    MatrixTileWorkload,
-    QueueWorkload,
-)
 
 JOB_KINDS = ("sim", "conform")
 
@@ -72,32 +70,8 @@ def make_counter_workload(config: SystemConfig, **kw: Any) -> Workload:
     return CounterWorkload(**kw)
 
 
-def make_list_set_workload(config: SystemConfig, **kw: Any) -> Workload:
-    return ListSetWorkload(**kw)
-
-
-def make_queue_workload(config: SystemConfig, **kw: Any) -> Workload:
-    return QueueWorkload(**kw)
-
-
-def make_matrix_tile_workload(config: SystemConfig, **kw: Any) -> Workload:
-    return MatrixTileWorkload(**kw)
-
-
-def make_conform_workload(config: SystemConfig, seed: int = 0) -> Workload:
-    """The conformance generator's program for ``seed``, as a plain
-    workload (lazy import: repro.conform imports repro.core.system)."""
-    from repro.conform.generator import generate_program
-
-    return generate_program(seed).to_workload()
-
-
 register_workload("app", make_app_workload)
 register_workload("counter", make_counter_workload)
-register_workload("list-set", make_list_set_workload)
-register_workload("queue", make_queue_workload)
-register_workload("matrix-tile", make_matrix_tile_workload)
-register_workload("conform", make_conform_workload)
 
 
 @dataclass(frozen=True)
@@ -114,8 +88,6 @@ class JobSpec:
     seed: Optional[int] = None
     max_cycles: Optional[int] = None
     verify: bool = True
-    #: Any job opts out of the result cache with this.
-    cacheable: bool = True
     #: Free-form label for progress lines (not part of the cache key).
     label: str = ""
 
@@ -129,7 +101,7 @@ class JobSpec:
 
     def canonical(self) -> Dict[str, Any]:
         """The identity of this job: everything that changes the outcome
-        (and nothing that doesn't — labels and cache policy stay out)."""
+        (and nothing that doesn't — the label stays out)."""
         return {
             "kind": self.kind,
             "workload": self.workload,

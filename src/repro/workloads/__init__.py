@@ -30,14 +30,11 @@ from repro.workloads.tm_patterns import (
     MatrixTileWorkload,
     QueueWorkload,
 )
-from repro.workloads.trace import TraceWorkload, save_trace
 
 __all__ = [
     "ListSetWorkload",
     "MatrixTileWorkload",
     "QueueWorkload",
-    "TraceWorkload",
-    "save_trace",
     "APP_PROFILES",
     "BARRIER",
     "BarrierPoint",

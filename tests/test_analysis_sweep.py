@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro import ScalableTCCSystem, SystemConfig, app_workload
+from repro import ScalableTCCSystem, SystemConfig
 from repro.analysis.sweep import Sweep
 from repro.workloads import CounterWorkload
 
@@ -42,7 +42,7 @@ class TestSweep:
         return Sweep(
             SystemConfig(n_processors=2, ordered_network=True),
             grid,
-            lambda cfg: app_workload("barnes", scale=0.05),
+            ("app", {"name": "barnes", "scale": 0.05}),
             max_cycles=500_000_000,
         )
 

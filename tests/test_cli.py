@@ -73,6 +73,22 @@ def test_latency(capsys):
     assert "slowdown" in out
 
 
+def test_sweep(capsys, tmp_path):
+    csv_path = tmp_path / "sweep.csv"
+    code, out = run_cli(
+        capsys, "sweep", "barnes", "-n", "2", "--scale", "0.05",
+        "--grid", "link_latency=1,3", "--best", "cycles", "--no-cache",
+        "--csv", str(csv_path),
+    )
+    assert code == 0
+    assert "link_latency" in out and "cycles" in out
+    assert "best cycles: {'link_latency': " in out
+    assert f"csv written to {csv_path}" in out
+    lines = csv_path.read_text().strip().splitlines()
+    assert lines[0].startswith("link_latency,cycles,")
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "3"]
+
+
 def test_traffic(capsys):
     code, out = run_cli(capsys, "traffic", "swim", "-n", "4", "--scale", "0.1")
     assert code == 0

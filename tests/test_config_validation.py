@@ -30,11 +30,8 @@ from repro.faults import FaultPlan, PacketFault
     dict(l2_ways=0),
     dict(page_size=0),
     dict(link_bytes_per_cycle=0),
-    dict(tid_vendor_node=-1),
-    dict(n_processors=4, tid_vendor_node=4),
     dict(watchdog_interval=0),
     dict(watchdog_stall_checks=0),
-    dict(livelock_abort_threshold=0),
     dict(fault_plan="lots of drops please"),
     dict(fault_plan=FaultPlan(), commit_backend="token"),
 ])
@@ -57,7 +54,3 @@ def test_zero_latencies_are_legal():
 def test_hardening_flags_resolve():
     assert not SystemConfig().protocol_hardened
     assert SystemConfig(fault_plan=FaultPlan()).protocol_hardened
-    assert not SystemConfig(fault_plan=FaultPlan(),
-                            harden_protocol=False).protocol_hardened
-    assert SystemConfig(harden_protocol=True).protocol_hardened
-    assert not SystemConfig(harden_protocol=True).watchdog_active

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import SystemConfig
+from repro.core import ScalableTCCSystem, SystemConfig
+from repro.memory import FirstTouchMapping
 
 
 def test_defaults_match_table2():
@@ -13,7 +14,7 @@ def test_defaults_match_table2():
     assert cfg.memory_latency == 100
     assert cfg.directory_latency == 10
     assert cfg.link_latency == 3
-    assert cfg.first_touch
+    assert isinstance(ScalableTCCSystem(cfg).mapping, FirstTouchMapping)
     assert cfg.commit_backend == "scalable"
     assert not cfg.write_through_commit
     assert cfg.granularity == "word"

@@ -429,7 +429,7 @@ def test_zero_latency_queue_served_fifo_without_recursion():
 @pytest.fixture
 def hrig():
     """A rig with the hardened (seq/ack + retry-tolerant) protocol on."""
-    return Rig(harden_protocol=True)
+    return Rig(fault_plan=FaultPlan())
 
 
 def test_probe_waits_across_out_of_order_skip_gap(rig):

@@ -18,6 +18,7 @@ FAST_EXAMPLES = [
     "bank.py",
     "hashtable.py",
     "contention_explorer.py",
+    "trace_replay.py",
 ]
 
 

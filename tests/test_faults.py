@@ -295,7 +295,7 @@ def test_ack_tracker_resends_only_to_unacked_targets():
 # ----------------------------------------------------------------------
 
 def test_vendor_dedups_sequenced_requests():
-    vendor = TidVendor(0)
+    vendor = TidVendor()
     first = vendor.next_tid(3, seq=1)
     assert vendor.next_tid(3, seq=1) == first  # retry: same TID back
     assert vendor.duplicate_requests == 1
@@ -319,7 +319,7 @@ def _hardened_processor():
     from repro.core.system import ScalableTCCSystem
 
     system = ScalableTCCSystem(
-        SystemConfig(n_processors=2, harden_protocol=True)
+        SystemConfig(n_processors=2, fault_plan=FaultPlan())
     )
     return system.processors[0]
 

@@ -142,12 +142,6 @@ def test_retention_grants_forward_progress_under_heavy_conflict():
     assert sum(s.tid_retentions for s in result.proc_stats) > 0
 
 
-def test_interleaved_mapping_mode():
-    wl = CounterWorkload(n_counters=4, increments_per_proc=6)
-    system, result = run(wl, first_touch=False)
-    assert counter_total(result, wl, 8) == wl.expected_total(8)
-
-
 def test_single_processor_every_backend():
     for backend in ("scalable", "token"):
         wl = CounterWorkload(n_counters=2, increments_per_proc=5)

@@ -102,18 +102,34 @@ def test_true_sharing_forwards_from_owner():
     assert system.directories[home].stats.loads_forwarded >= 1
 
 
-def test_commit_does_not_push_data_to_memory():
-    """Write-back commit: after the commit (before drain) memory must not
-    have the value; the owner holds it."""
+@pytest.mark.parametrize("write_through", [False, True],
+                         ids=["write-back", "write-through"])
+def test_commit_does_not_push_data_to_memory(write_through):
+    """Write-back commit: after the commit (before the end-of-run drain)
+    memory must not have the value; the owner holds it.  Write-through
+    commit pushes it home at commit."""
     tx = Transaction(1, [("c", 10), ("st", 0, 9)])
+    system = ScalableTCCSystem(SystemConfig(
+        n_processors=1, ordered_network=True,
+        write_through_commit=write_through,
+    ))
+    before_drain = {}
+    drain = system._drain
 
-    class Probe(Workload):
-        def schedule(self, proc, n_procs):
-            return iter([tx])
+    def snapshot_then_drain():
+        before_drain["memory"] = system.memory_image().get(0, [0])[0]
+        entry = system.directories[0].state.peek(0)
+        before_drain["owned"] = entry is not None and entry.owned
+        drain()
 
-    system = ScalableTCCSystem(SystemConfig(n_processors=1, ordered_network=True))
-    # run without drain interference: run the workload, check memory pre-drain
-    result = system.run(Probe(), max_cycles=10_000_000)
+    system._drain = snapshot_then_drain
+    result = system.run(ScriptedWorkload([[tx]]), max_cycles=10_000_000)
+    assert before_drain, "the run never drained"
+    if write_through:
+        assert before_drain["memory"] == 9
+    else:
+        assert before_drain["memory"] != 9
+        assert before_drain["owned"]
     # after drain the data is home:
     assert result.memory_image[0][0] == 9
     entry = system.directories[0].state.entry(0)

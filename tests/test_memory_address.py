@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.memory import AddressMap, FirstTouchMapping, InterleavedMapping
+from repro.memory import AddressMap, FirstTouchMapping
 
 
 class TestAddressMap:
@@ -56,24 +56,6 @@ class TestAddressMap:
             AddressMap(word_size=3)
         with pytest.raises(ValueError):
             AddressMap(line_size=4, word_size=8)
-
-
-class TestInterleavedMapping:
-    def test_round_robin_homes(self):
-        mapping = InterleavedMapping(4)
-        assert [mapping.home(line) for line in range(8)] == [0, 1, 2, 3, 0, 1, 2, 3]
-
-    def test_touch_is_a_no_op(self):
-        mapping = InterleavedMapping(4)
-        assert mapping.touch(5, node=3) == mapping.home(5) == 1
-
-    def test_single_node(self):
-        mapping = InterleavedMapping(1)
-        assert all(mapping.home(line) == 0 for line in range(10))
-
-    def test_rejects_zero_nodes(self):
-        with pytest.raises(ValueError):
-            InterleavedMapping(0)
 
 
 class TestFirstTouchMapping:

@@ -49,9 +49,6 @@ class TestJobSpec:
                          max_cycles=50_000_000)
         assert base.key() != bigger.key()
 
-    def test_cacheable_flag_not_part_of_identity(self):
-        assert sim_spec().key() == sim_spec(cacheable=False).key()
-
     def test_validation(self):
         with pytest.raises(ValueError, match="kind"):
             JobSpec(kind="nope", workload="counter")
@@ -292,17 +289,6 @@ class TestSweepRunner:
         assert cold.fingerprints() == warm.fingerprints()
         assert warm.best("cycles").overrides == {"link_latency": 1}
 
-    def test_callable_factory_cannot_go_parallel(self):
-        from repro import app_workload
-        sweep = Sweep(
-            SystemConfig(n_processors=2),
-            {"link_latency": [1]},
-            lambda cfg: app_workload("barnes", scale=0.05),
-        )
-        with pytest.raises(ValueError, match="callable"):
-            sweep.run(jobs=2)
-        with pytest.raises(ValueError, match="callable"):
-            sweep.run(cache=ResultCache(root=".unused"))
 
 
 class TestConformReportShape:

@@ -25,15 +25,6 @@ def test_hundred_processors():
     assert result.total_violations == 0
 
 
-def test_vendor_node_can_be_relocated():
-    system = ScalableTCCSystem(
-        SystemConfig(n_processors=8, tid_vendor_node=5)
-    )
-    wl = CounterWorkload(n_counters=2, increments_per_proc=3)
-    result = system.run(wl, max_cycles=200_000_000)
-    assert result.committed_transactions == 24
-
-
 @pytest.mark.parametrize("line_size,word_size", [(64, 4), (32, 8), (64, 8)])
 def test_alternative_line_geometries(line_size, word_size):
     system = ScalableTCCSystem(

@@ -77,7 +77,7 @@ def test_detects_uncovered_sharer():
 
 
 def test_paranoid_mode_runs_clean():
-    system = fresh_system(paranoid=True, paranoid_interval=200)
+    system = fresh_system(paranoid=True)
     result = system.run(
         CounterWorkload(increments_per_proc=5), max_cycles=50_000_000
     )

@@ -6,7 +6,11 @@ import pytest
 
 from repro import ScalableTCCSystem, SystemConfig, Transaction, WatchdogStall
 from repro.faults import FaultPlan, NodeFault, PacketFault, FaultStats
-from repro.faults.watchdog import ProgressWatchdog, format_stall_report
+from repro.faults.watchdog import (
+    LIVELOCK_ABORT_THRESHOLD,
+    ProgressWatchdog,
+    format_stall_report,
+)
 from repro.workloads.base import Workload
 
 
@@ -22,18 +26,16 @@ class HotCounter(Workload):
 
 
 def test_unhardened_drops_become_a_diagnosed_stall():
-    # Drop every commit-class packet with the hardening explicitly off:
-    # without retries the protocol wedges, and the watchdog must turn
-    # that hang into a structured WatchdogStall instead of spinning.
+    # Drop every commit-class packet: retries cannot get through either,
+    # so the protocol wedges, and the watchdog must turn that hang into
+    # a structured WatchdogStall instead of spinning.
     config = SystemConfig(
         n_processors=4,
         fault_plan=FaultPlan(
             packet_faults=(PacketFault("drop", 1.0, traffic_classes=("commit",)),),
             seed=1,
         ),
-        harden_protocol=False,
         watchdog_interval=2_000,
-        watchdog_stall_checks=3,
     )
     system = ScalableTCCSystem(config)
     with pytest.raises(WatchdogStall) as excinfo:
@@ -96,14 +98,12 @@ def test_dir_stall_window_is_exercised_and_survived():
 
 
 def test_watchdog_off_by_default_for_fault_free_runs():
+    assert not SystemConfig(n_processors=4).protocol_hardened
+    assert SystemConfig(n_processors=4, fault_plan=FaultPlan()).protocol_hardened
+
+
+def _fake_system(violations):
     config = SystemConfig(n_processors=4)
-    assert not config.watchdog_active
-    assert SystemConfig(n_processors=4, fault_plan=FaultPlan()).watchdog_active
-    assert SystemConfig(n_processors=4, watchdog=True).watchdog_active
-
-
-def _fake_system(violations, threshold=8):
-    config = SystemConfig(n_processors=4, livelock_abort_threshold=threshold)
     proc = SimpleNamespace(
         node=0, finished=False, _consecutive_violations=violations,
         current_tid=7, retained=True,
@@ -114,7 +114,7 @@ def _fake_system(violations, threshold=8):
 
 
 def test_livelock_reported_once_per_episode():
-    system, proc = _fake_system(violations=9, threshold=8)
+    system, proc = _fake_system(violations=LIVELOCK_ABORT_THRESHOLD + 1)
     stats = FaultStats()
     watchdog = ProgressWatchdog(system, stats)
     watchdog._check_livelock()
@@ -122,7 +122,10 @@ def test_livelock_reported_once_per_episode():
     assert stats.livelock_episodes == 1  # still the same episode
     proc._consecutive_violations = 0  # the retained TID finally won
     watchdog._check_livelock()
-    proc._consecutive_violations = 20  # ...and livelocked again
+    proc._consecutive_violations = LIVELOCK_ABORT_THRESHOLD - 1
+    watchdog._check_livelock()
+    assert stats.livelock_episodes == 1  # below the threshold
+    proc._consecutive_violations = LIVELOCK_ABORT_THRESHOLD  # ...and again
     watchdog._check_livelock()
     assert stats.livelock_episodes == 2
 
@@ -130,14 +133,10 @@ def test_livelock_reported_once_per_episode():
 def test_armed_watchdog_does_not_pad_reported_cycles():
     # The watchdog keeps ticking until its first tick after the last
     # processor finished; the reported run length must still be the
-    # finish cycle, exactly as with the watchdog off.
-    def run(watchdog):
-        config = SystemConfig(n_processors=4, watchdog=watchdog,
-                              watchdog_interval=1_000)
-        return ScalableTCCSystem(config).run(HotCounter(), verify=True)
-
-    plain, watched = run(False), run(True)
+    # finish cycle.  An empty fault plan arms it without injecting.
+    config = SystemConfig(n_processors=4, fault_plan=FaultPlan(),
+                          watchdog_interval=1_000)
+    watched = ScalableTCCSystem(config).run(HotCounter(), verify=True)
     finish = max(s.total_cycles for s in watched.proc_stats)
     assert finish % 1_000  # a tick past the finish would show
-    assert watched.cycles == plain.cycles == finish
-    assert watched.breakdown() == plain.breakdown()
+    assert watched.cycles == finish
