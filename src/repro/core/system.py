@@ -267,8 +267,7 @@ class ScalableTCCSystem:
         processor = self.processors[node]
         is_vendor_node = node == VENDOR_NODE
 
-        def route(packet):
-            msg = packet.payload
+        def route(msg):
             kind = type(msg)
             if kind in _DIRECTORY_MESSAGES:
                 directory.deliver(msg)
@@ -276,10 +275,7 @@ class ScalableTCCSystem:
                 if not is_vendor_node:
                     raise RuntimeError(f"TID request routed to non-vendor node {node}")
                 tid = self.vendor.next_tid(msg.requester, msg.seq)
-                reply = TidReply(tid, msg.seq)
-                self.network.send(
-                    node, msg.requester, reply, reply.payload_bytes, reply.traffic_class
-                )
+                self.network.send(node, msg.requester, TidReply(tid, msg.seq))
             else:
                 processor.deliver(msg)
 

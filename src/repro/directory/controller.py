@@ -54,6 +54,7 @@ from repro.core.messages import (
 from repro.directory.skipvector import SkipVector
 from repro.directory.state import DirectoryState
 from repro.memory.address import AddressMap
+from repro.memory.cache import TagLRU
 from repro.memory.mainmem import MainMemory
 from repro.network.interconnect import Interconnect
 from repro.sim import Engine
@@ -104,36 +105,6 @@ class DirectoryStats:
         return self.dir_cache_hits / total if total else 1.0
 
 
-class _DirectoryCache:
-    """LRU tag store over directory entries — a timing model only.
-
-    The authoritative per-line state always lives in
-    :class:`~repro.directory.state.DirectoryState` (conceptually backed
-    by memory); this cache decides whether a message pays the 10-cycle
-    directory-cache latency alone or an extra memory access to fetch the
-    entry (Table 2's "directory cache").
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("directory cache needs at least one entry")
-        self.capacity = capacity
-        self._entries: dict[int, int] = {}
-        self._clock = 0
-
-    def access(self, line: int) -> bool:
-        """Touch the line's entry; True on hit, False on miss+fill."""
-        self._clock += 1
-        if line in self._entries:
-            self._entries[line] = self._clock
-            return True
-        if len(self._entries) >= self.capacity:
-            victim = min(self._entries, key=self._entries.get)
-            del self._entries[victim]
-        self._entries[line] = self._clock
-        return False
-
-
 class DirectoryController:
     """Coherence controller for one node's memory slice."""
 
@@ -167,8 +138,10 @@ class DirectoryController:
         self._flush_requested: set[int] = set()
         self._active_commit: Optional[_CommitContext] = None
         self._first_contact: Dict[int, int] = {}
+        # Table 2's directory cache, a timing model only: the entries live
+        # in ``self.state``; a miss adds a memory access to the service.
         self._dir_cache = (
-            _DirectoryCache(config.directory_cache_entries)
+            TagLRU(config.directory_cache_entries)
             if config.directory_cache_entries
             else None
         )
@@ -332,11 +305,11 @@ class DirectoryController:
         if extra_delay:
             self.engine.schedule_call(extra_delay, self._send_later, (dst, msg))
         else:
-            self.network.send(self.node, dst, msg, msg.payload_bytes, msg.traffic_class)
+            self.network.send(self.node, dst, msg)
 
     def _send_later(self, dst_msg: tuple) -> None:
         dst, msg = dst_msg
-        self.network.send(self.node, dst, msg, msg.payload_bytes, msg.traffic_class)
+        self.network.send(self.node, dst, msg)
 
     # ------------------------------------------------------------------
     # loads and data movement

@@ -1,13 +1,14 @@
 """The fault injector: applies a :class:`~repro.faults.plan.FaultPlan`
 to the interconnect and the node models.
 
-The interconnect hands every outbound packet (with its fault-free
-delivery delay) to :meth:`FaultInjector.dispatch`, which draws from the
-plan-seeded PRNG and either delivers the packet normally, drops it
-(retryable messages only — otherwise the drop is downgraded to a
-delay), delivers it twice, delays it, or holds it so a later packet on
-the same rule overtakes it.  All decisions are deterministic functions
-of (plan seed, packet order), so every faulty run replays exactly.
+The interconnect hands every outbound message copy (with its endpoints
+and fault-free delivery delay) to :meth:`FaultInjector.dispatch`, which
+draws from the plan-seeded PRNG and either delivers the message
+normally, drops it (retryable messages only — otherwise the drop is
+downgraded to a delay), delivers it twice, delays it, or holds it so a
+later message on the same rule overtakes it.  All decisions are
+deterministic functions of (plan seed, packet order), so every faulty
+run replays exactly.
 
 When the interconnect has no injector attached, no code here runs at
 all — the fault-free event stream, RNG draws, and timings are
@@ -16,7 +17,7 @@ bit-identical to a build without this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -89,8 +90,8 @@ class FaultInjector:
             (index, rule, rule.filtered)
             for index, rule in enumerate(plan.packet_faults)
         ]
-        # Per-rule held packet for "reorder": (packet, engine, deliver).
-        self._held: Dict[int, Tuple[Any, Any, Any]] = {}
+        # Per-rule held delivery for "reorder": ((dst, msg), deliver_at).
+        self._held: Dict[int, Tuple[Tuple[int, Any], int]] = {}
         # Per-node stall/pause windows, precomputed and sorted by start.
         self._dir_windows = {
             node: sorted(plan.node_windows("dir_stall", node))
@@ -107,11 +108,15 @@ class FaultInjector:
     # packet faults
     # ------------------------------------------------------------------
 
-    def dispatch(self, engine: Any, deliver: Any, packet: Any, delay: int) -> None:
-        """Deliver ``packet`` subject to the plan's packet faults.
+    def dispatch(
+        self, engine: Any, deliver: Any, src: int, dst: int, msg: Any, delay: int
+    ) -> None:
+        """Deliver ``msg`` from ``src`` to ``dst`` subject to the plan's
+        packet faults.
 
-        ``deliver`` is the interconnect's delivery callback; the injector
-        owns all scheduling so drops never enter the event queue at all.
+        ``deliver`` is the interconnect's delivery callback, called with
+        ``(dst, msg)``; the injector owns all scheduling so drops never
+        enter the event queue at all.
         """
         stats = self.stats
         stats.packets_seen += 1
@@ -120,18 +125,17 @@ class FaultInjector:
         rule_index = -1
         rule = None
         for index, candidate, filtered in self._rules:
-            if filtered and not candidate.matches(
-                packet.src, packet.dst, packet.traffic_class, now
-            ):
+            if filtered and not candidate.matches(src, dst, msg.traffic_class, now):
                 continue
             if self._rng.random() < candidate.probability:
                 action, rule, rule_index = candidate.kind, candidate, index
                 break
+        item = (dst, msg)
         if action is None:
-            engine.schedule_call(delay, deliver, packet)
+            engine.schedule_call(delay, deliver, item)
             return
 
-        if action == "drop" and not getattr(type(packet.payload), "retryable", False):
+        if action == "drop" and not getattr(type(msg), "retryable", False):
             # No end-to-end retry protects this message; model link-level
             # retransmission instead of loss.
             action = "delay"
@@ -139,54 +143,44 @@ class FaultInjector:
 
         if action == "drop":
             stats.drops += 1
-            self._log(now, "fault", packet, kind="drop")
+            self._log(now, src, dst, msg, kind="drop")
             return
         if action == "delay":
             extra = 1 + self._rng.randrange(rule.delay)
             stats.delays += 1
-            self._log(now, "fault", packet, kind="delay", extra=extra)
-            packet.deliver_time = now + delay + extra
-            engine.schedule_call(delay + extra, deliver, packet)
+            self._log(now, src, dst, msg, kind="delay", extra=extra)
+            engine.schedule_call(delay + extra, deliver, item)
             return
         if action == "dup":
             extra = 1 + self._rng.randrange(rule.delay)
             stats.duplicates += 1
-            self._log(now, "fault", packet, kind="dup", extra=extra)
-            engine.schedule_call(delay, deliver, packet)
-            engine.schedule_call(delay + extra, deliver, packet)
+            self._log(now, src, dst, msg, kind="dup", extra=extra)
+            engine.schedule_call(delay, deliver, item)
+            engine.schedule_call(delay + extra, deliver, item)
             return
-        # reorder: hold this packet; the next packet matching the same
+        # reorder: hold this message; the next message matching the same
         # rule overtakes it (the held one lands just after).  A backstop
-        # timer bounds the hold so held packets are never lost.
+        # timer bounds the hold so held messages are never lost.
         stats.reorders += 1
-        self._log(now, "fault", packet, kind="reorder")
+        self._log(now, src, dst, msg, kind="reorder")
         previous = self._held.pop(rule_index, None)
-        self._held[rule_index] = (packet, now + delay, now + rule.delay)
+        self._held[rule_index] = (item, now + delay)
         engine.schedule_call(
-            rule.delay, self._release_backstop, (rule_index, packet, deliver, engine)
+            rule.delay, self._release_backstop, (rule_index, item, deliver)
         )
         if previous is not None:
-            held_packet, held_deliver_at, _ = previous
+            held_item, held_deliver_at = previous
             release_at = max(held_deliver_at, now + delay + 1)
-            held_packet.deliver_time = release_at
-            engine.schedule_call(release_at - now, deliver, held_packet)
+            engine.schedule_call(release_at - now, deliver, held_item)
 
     def _release_backstop(self, args: Tuple) -> None:
-        rule_index, packet, deliver, engine = args
+        rule_index, item, deliver = args
         held = self._held.get(rule_index)
-        if held is None or held[0] is not packet:
-            return  # already released by an overtaking packet
+        if held is None or held[0] is not item:
+            return  # already released by an overtaking message
         del self._held[rule_index]
         self.stats.reorder_backstops += 1
-        packet.deliver_time = engine.now
-        deliver(packet)
-
-    def flush_held(self, engine: Any, deliver: Any) -> None:
-        """Deliver any still-held packets immediately (end-of-run safety)."""
-        held, self._held = self._held, {}
-        for _rule_index, (packet, _deliver_at, _backstop) in sorted(held.items()):
-            packet.deliver_time = engine.now
-            deliver(packet)
+        deliver(item)
 
     # ------------------------------------------------------------------
     # node faults
@@ -230,9 +224,8 @@ class FaultInjector:
 
     # ------------------------------------------------------------------
 
-    def _log(self, now: int, category: str, packet: Any, **fields: Any) -> None:
+    def _log(self, now: int, src: int, dst: int, msg: Any, **fields: Any) -> None:
         if self.event_log is not None:
             self.event_log.log(
-                now, category, packet.src, dst=packet.dst,
-                msg=type(packet.payload).__name__, **fields,
+                now, "fault", src, dst=dst, msg=type(msg).__name__, **fields,
             )

@@ -8,7 +8,7 @@ uses for lazy versioning and conflict detection.
 """
 
 from repro.memory.address import AddressMap, FirstTouchMapping
-from repro.memory.cache import CacheLine, EvictionNotice, SpeculativeCache
+from repro.memory.cache import CacheLine, SpeculativeCache
 from repro.memory.hierarchy import AccessResult, PrivateHierarchy
 from repro.memory.mainmem import MainMemory
 
@@ -16,7 +16,6 @@ __all__ = [
     "AccessResult",
     "AddressMap",
     "CacheLine",
-    "EvictionNotice",
     "FirstTouchMapping",
     "MainMemory",
     "PrivateHierarchy",

@@ -71,27 +71,6 @@ class CacheLine:
 
 
 @dataclass
-class EvictionNotice:
-    """A line pushed out of the cache; ``dirty`` data must reach its home."""
-
-    line: int
-    data: List[int]
-    valid_mask: int
-    dirty: bool
-
-    def valid_words(self) -> Dict[int, int]:
-        words = {}
-        mask = self.valid_mask
-        word = 0
-        while mask:
-            if mask & 1:
-                words[word] = self.data[word]
-            mask >>= 1
-            word += 1
-        return words
-
-
-@dataclass
 class CacheStats:
     """Aggregate counters, kept cheap to update on the hot path."""
 
@@ -111,6 +90,45 @@ class CacheStats:
     def hit_rate(self) -> float:
         total = self.accesses
         return self.hits / total if total else 0.0
+
+
+class TagLRU:
+    """Tag-only set-associative LRU: which lines are resident, no state.
+
+    A timing model only: the L1 filter of
+    :class:`~repro.memory.hierarchy.PrivateHierarchy` and the directory
+    cache (one set of ``ways`` entries).  Sets are allocated on first
+    access, like :class:`SpeculativeCache`'s.
+    """
+
+    def __init__(self, ways: int, n_sets: int = 1) -> None:
+        if ways < 1:
+            raise ValueError("a tag store needs at least one way")
+        self.ways = ways
+        self.n_sets = max(1, n_sets)
+        self._sets: Dict[int, Dict[int, int]] = {}
+        self._clock = 0
+
+    def access(self, line: int) -> bool:
+        """Touch ``line``: True on a hit; on a miss insert it, evicting
+        the least recently used line of a full set."""
+        index = line % self.n_sets
+        bucket = self._sets.get(index)
+        if bucket is None:
+            bucket = self._sets[index] = {}
+        self._clock += 1
+        if line in bucket:
+            bucket[line] = self._clock
+            return True
+        if len(bucket) >= self.ways:
+            del bucket[min(bucket, key=bucket.get)]
+        bucket[line] = self._clock
+        return False
+
+    def invalidate(self, line: int) -> None:
+        bucket = self._sets.get(line % self.n_sets)
+        if bucket is not None:
+            bucket.pop(line, None)
 
 
 class SpeculativeCache:
@@ -178,10 +196,6 @@ class SpeculativeCache:
             entry.last_use = self._tick()
         return entry
 
-    def contains(self, line: int) -> bool:
-        bucket = self._sets.get(line % self.n_sets)
-        return bucket is not None and line in bucket
-
     # -- accesses -------------------------------------------------------
 
     def read(self, line: int, word: int, speculative: bool = True) -> Optional[int]:
@@ -225,8 +239,8 @@ class SpeculativeCache:
             entry.dirty = True
         return True
 
-    def fill(self, line: int, data: List[int], dirty: bool = False) -> Optional[EvictionNotice]:
-        """Install a line, evicting if needed; returns the eviction if any.
+    def fill(self, line: int, data: List[int], dirty: bool = False) -> Optional[CacheLine]:
+        """Install a line, evicting if needed; returns the evicted line if any.
 
         When the line is already resident (a partial-line refetch), the
         incoming data fills only the *invalid* words — locally valid words
@@ -248,17 +262,18 @@ class SpeculativeCache:
             existing.dirty = existing.dirty or dirty
             existing.last_use = self._tick()
             return None
-        notice = None
+        victim = None
         if len(bucket) >= self.ways:
-            notice = self._evict_from(bucket)
+            victim = self._evict_from(bucket)
         tick = self._tick()
         bucket[line] = CacheLine(
             line, list(data), valid_mask=full, dirty=dirty,
             last_use=tick, insert_seq=tick,
         )
-        return notice
+        return victim
 
-    def _evict_from(self, bucket: Dict[int, CacheLine]) -> Optional[EvictionNotice]:
+    def _evict_from(self, bucket: Dict[int, CacheLine]) -> Optional[CacheLine]:
+        """Detach and return the LRU non-speculative line of a full set."""
         candidates = [entry for entry in bucket.values() if not entry.speculative]
         if not candidates:
             # Every resident line is speculative: overflow the set rather
@@ -270,7 +285,7 @@ class SpeculativeCache:
         self.stats.evictions += 1
         if victim.dirty:
             self.stats.dirty_evictions += 1
-        return EvictionNotice(victim.line, victim.data, victim.valid_mask, victim.dirty)
+        return victim
 
     def invalidate(self, line: int) -> Optional[CacheLine]:
         """Drop the whole line (inclusion victim or full invalidation)."""

@@ -17,11 +17,11 @@ the pre-transaction version (Section 3.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.memory.address import AddressMap
-from repro.memory.cache import CacheLine, EvictionNotice, SpeculativeCache
+from repro.memory.cache import CacheLine, SpeculativeCache, TagLRU
 
 HIT_L1 = "l1"
 HIT_L2 = "l2"
@@ -44,47 +44,6 @@ class AccessResult:
         return self.outcome in (HIT_L1, HIT_L2)
 
 
-class _TagFilter:
-    """Tag-only set-associative LRU store modelling L1 residency.
-
-    Sets are allocated on first insert, like :class:`SpeculativeCache`'s.
-    """
-
-    def __init__(self, n_lines: int, ways: int) -> None:
-        self.ways = ways
-        self.n_sets = max(1, n_lines // ways)
-        self._sets: Dict[int, Dict[int, int]] = {}
-        self._clock = 0
-
-    def contains(self, line: int, touch: bool = True) -> bool:
-        bucket = self._sets.get(line % self.n_sets)
-        if bucket is None or line not in bucket:
-            return False
-        if touch:
-            self._clock += 1
-            bucket[line] = self._clock
-        return True
-
-    def insert(self, line: int) -> None:
-        index = line % self.n_sets
-        bucket = self._sets.get(index)
-        if bucket is None:
-            bucket = self._sets[index] = {}
-        self._clock += 1
-        if line not in bucket and len(bucket) >= self.ways:
-            victim = min(bucket, key=bucket.get)
-            del bucket[victim]
-        bucket[line] = self._clock
-
-    def invalidate(self, line: int) -> None:
-        bucket = self._sets.get(line % self.n_sets)
-        if bucket is not None:
-            bucket.pop(line, None)
-
-    def clear(self) -> None:
-        self._sets.clear()
-
-
 class PrivateHierarchy:
     """L1 timing filter over an authoritative speculative L2."""
 
@@ -103,16 +62,15 @@ class PrivateHierarchy:
         self.amap = amap
         self.l1_latency = l1_latency
         self.l2_latency = l2_latency
-        self.l1 = _TagFilter(l1_size // amap.line_size, l1_ways)
+        self.l1 = TagLRU(l1_ways, l1_size // amap.line_size // l1_ways)
         self.l2 = SpeculativeCache(amap, l2_size, l2_ways, granularity, name=f"{name}.l2")
         self.granularity = granularity
 
     # -- timing helper ---------------------------------------------------
 
     def _latency(self, line: int) -> int:
-        if self.l1.contains(line):
+        if self.l1.access(line):
             return self.l1_latency
-        self.l1.insert(line)
         return self.l2_latency
 
     # -- accesses ---------------------------------------------------------
@@ -144,14 +102,14 @@ class PrivateHierarchy:
         outcome = HIT_L1 if cycles == self.l1_latency else HIT_L2
         return AccessResult(outcome, cycles=cycles, value=value)
 
-    def fill(self, line: int, data: List[int], dirty: bool = False) -> List[EvictionNotice]:
+    def fill(self, line: int, data: List[int], dirty: bool = False) -> List[CacheLine]:
         """Install a remotely fetched line; returns dirty lines forced out."""
-        notice = self.l2.fill(line, data, dirty=dirty)
-        self.l1.insert(line)
-        if notice is None:
+        victim = self.l2.fill(line, data, dirty=dirty)
+        self.l1.access(line)
+        if victim is None:
             return []
-        self.l1.invalidate(notice.line)
-        return [notice] if notice.dirty else []
+        self.l1.invalidate(victim.line)
+        return [victim] if victim.dirty else []
 
     # -- external coherence actions ---------------------------------------
 

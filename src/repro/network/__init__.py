@@ -3,9 +3,9 @@
 Models the paper's Table 2 interconnect: a 2-D grid with a configurable
 per-link (per-hop) latency — the knob swept by Figure 8 — plus optional
 per-node bandwidth serialization and deterministic delivery jitter to
-exercise the protocol's unordered-network race handling.  All traffic is
-classified and counted so Figure 9 (bytes per instruction by class) can be
-regenerated.
+exercise the protocol's unordered-network race handling.  Messages travel
+bare: each names its own size and traffic class, which the network counts
+so Figure 9 (bytes per instruction by class) can be regenerated.
 """
 
 from repro.network.interconnect import Interconnect, TrafficStats
@@ -14,7 +14,6 @@ from repro.network.message import (
     CLASS_MISS,
     CLASS_OVERHEAD,
     CLASS_WRITEBACK,
-    Packet,
 )
 from repro.network.topology import MeshTopology
 
@@ -25,6 +24,5 @@ __all__ = [
     "CLASS_WRITEBACK",
     "Interconnect",
     "MeshTopology",
-    "Packet",
     "TrafficStats",
 ]

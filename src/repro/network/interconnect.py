@@ -1,6 +1,10 @@
 """Message transport over the mesh with latency, bandwidth and jitter.
 
-Delivery time for a packet from ``src`` to ``dst``:
+The network carries protocol messages bare: ``send`` and ``multicast``
+read each message's ``payload_bytes`` and ``traffic_class``, and the
+destination node's handler receives the message itself.
+
+Delivery time for a message from ``src`` to ``dst``:
 
     egress wait (per-node bandwidth serialization, optional)
   + hops(src, dst) * link_latency          (Table 2 / Figure 8 knob)
@@ -10,7 +14,7 @@ Delivery time for a packet from ``src`` to ``dst``:
 
 The network is *unordered* by default, as in the paper ("additional
 mechanisms are required to accommodate ... its distributed memory and
-unordered interconnection network"): two packets between the same pair of
+unordered interconnection network"): two messages between the same pair of
 nodes may be delivered out of send order because of jitter.  Protocol
 layers must (and do) tolerate this; an ``ordered=True`` mode exists for
 differential testing.
@@ -21,7 +25,7 @@ Twister stream, drawn with an inline ``getrandbits`` rejection loop,
 bit-identical to ``randint(0, jitter)`` on the same stream.
 
 ``send`` and ``multicast`` are the hot path of every run (a 32-CPU run
-sends tens of thousands of packets).  Both go through one loop,
+sends tens of thousands of messages).  Both go through one loop,
 ``Interconnect._emit``, which computes hop count, egress, wire time,
 jitter and the traffic counters inline.
 """
@@ -32,11 +36,11 @@ from collections import defaultdict
 from random import Random
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.network.message import HEADER_BYTES, TRAFFIC_CLASSES, Packet
+from repro.network.message import HEADER_BYTES, TRAFFIC_CLASSES
 from repro.network.topology import MeshTopology
 from repro.sim.engine import Engine
 
-Handler = Callable[[Packet], None]
+Handler = Callable[[Any], None]
 
 _CLASS_INDEX = {cls: i for i, cls in enumerate(TRAFFIC_CLASSES)}
 _OVERHEAD = _CLASS_INDEX["overhead"]
@@ -46,16 +50,14 @@ class TrafficStats:
 
     Counters are fixed-index lists that :class:`Interconnect` bumps on
     the hot path; the dict views the analysis layer reads
-    (:attr:`bytes_by_class`, :attr:`bytes_into_node`,
-    :attr:`bytes_out_of_node`) are built on demand.
+    (:attr:`bytes_by_class`, :attr:`bytes_into_node`) are built on demand.
     """
 
-    __slots__ = ("_by_class", "_into", "_out", "packets")
+    __slots__ = ("_by_class", "_into", "packets")
 
     def __init__(self, n_nodes: int = 0) -> None:
         self._by_class: List[int] = [0] * len(TRAFFIC_CLASSES)
         self._into: List[int] = [0] * n_nodes
-        self._out: List[int] = [0] * n_nodes
         self.packets = 0
 
     @property
@@ -69,23 +71,8 @@ class TrafficStats:
         )
 
     @property
-    def bytes_out_of_node(self) -> Dict[int, int]:
-        return defaultdict(
-            int, {node: count for node, count in enumerate(self._out) if count}
-        )
-
-    @property
     def total_bytes(self) -> int:
         return sum(self._by_class)
-
-    def per_class_fraction(self) -> Dict[str, float]:
-        total = self.total_bytes
-        if not total:
-            return {cls: 0.0 for cls in TRAFFIC_CLASSES}
-        return {
-            cls: count / total
-            for cls, count in zip(TRAFFIC_CLASSES, self._by_class)
-        }
 
 
 class Interconnect:
@@ -159,25 +146,11 @@ class Interconnect:
 
     # -- sending ----------------------------------------------------------
 
-    def send(
-        self,
-        src: int,
-        dst: int,
-        payload: Any,
-        payload_bytes: int,
-        traffic_class: str,
-    ) -> Packet:
-        """Dispatch a packet; the destination handler runs at delivery time."""
-        return self._emit(src, (dst,), payload, payload_bytes, traffic_class)
+    def send(self, src: int, dst: int, msg: Any) -> None:
+        """Dispatch ``msg``; the destination handler runs at delivery time."""
+        self._emit(src, (dst,), msg)
 
-    def multicast(
-        self,
-        src: int,
-        dsts: Iterable[int],
-        payload: Any,
-        payload_bytes: int,
-        traffic_class: str,
-    ) -> int:
+    def multicast(self, src: int, dsts: Iterable[int], msg: Any) -> int:
         """Limited multicast (Section 2.2: "limited multicast messages are
         cheap in a high bandwidth interconnect").
 
@@ -189,19 +162,12 @@ class Interconnect:
         """
         dsts = tuple(dsts)
         if dsts:
-            self._emit(src, dsts, payload, payload_bytes, traffic_class)
+            self._emit(src, dsts, msg)
         return len(dsts)
 
-    def _emit(
-        self,
-        src: int,
-        dsts: Tuple[int, ...],
-        payload: Any,
-        payload_bytes: int,
-        traffic_class: str,
-    ) -> Packet:
-        """Inject one packet at ``src`` and deliver a copy to each of
-        ``dsts``; returns the last copy.
+    def _emit(self, src: int, dsts: Tuple[int, ...], msg: Any) -> None:
+        """Inject one packet carrying ``msg`` at ``src`` and deliver a
+        copy to each of ``dsts``.
 
         The first copy waits for the egress port and is charged its full
         header and payload.  The rest are in-fabric replicas: no egress
@@ -217,6 +183,7 @@ class Interconnect:
         by_class = stats._by_class
         into = stats._into
         row = self._hops[src]
+        payload_bytes = msg.payload_bytes
         total_bytes = payload_bytes + HEADER_BYTES
         bandwidth = self.link_bytes_per_cycle
         wire = self._wire_cycles(total_bytes)
@@ -241,9 +208,7 @@ class Interconnect:
         for dst in dsts:
             if not 0 <= dst < n_nodes:
                 self._check(dst)
-            packet = Packet(src, dst, payload, payload_bytes, traffic_class,
-                            now, 0, stats.packets + 1)
-            stats.packets = packet.packet_id
+            stats.packets += 1
             hops = row[dst]
             if hops == 0:
                 delay = egress + self.local_latency
@@ -254,25 +219,23 @@ class Interconnect:
                 while draw > jitter:
                     draw = getrandbits(bits)
                 delay += draw
-            packet.deliver_time = now + delay
             if first:
-                by_class[_CLASS_INDEX[traffic_class]] += payload_bytes
+                by_class[_CLASS_INDEX[msg.traffic_class]] += payload_bytes
                 by_class[_OVERHEAD] += HEADER_BYTES
                 into[dst] += total_bytes
-                stats._out[src] += total_bytes
                 first = False
                 egress = 0
             else:
                 by_class[_OVERHEAD] += 1
                 into[dst] += 1
             if injector is None:
-                engine.schedule_call(delay, deliver, packet)
+                engine.schedule_call(delay, deliver, (dst, msg))
             else:
-                injector.dispatch(engine, deliver, packet, delay)
-        return packet
+                injector.dispatch(engine, deliver, src, dst, msg, delay)
 
-    def _deliver(self, packet: Packet) -> None:
-        handler = self._handlers[packet.dst]
+    def _deliver(self, item: Tuple[int, Any]) -> None:
+        dst, msg = item
+        handler = self._handlers[dst]
         if handler is None:
-            raise RuntimeError(f"packet to unregistered node {packet.dst}: {packet!r}")
-        handler(packet)
+            raise RuntimeError(f"message to unregistered node {dst}: {msg!r}")
+        handler(msg)

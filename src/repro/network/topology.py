@@ -8,7 +8,7 @@ count between two nodes, which for XY routing is the Manhattan distance.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import List
 
 
 class MeshTopology:
@@ -48,11 +48,6 @@ class MeshTopology:
             return max(1, int(math.isqrt(n_nodes)))
         return max(best, 1) if n_nodes <= 3 else n_nodes // best if best > 1 else best
 
-    def coordinates(self, node: int) -> Tuple[int, int]:
-        """(row, col) of a node id."""
-        self._check(node)
-        return divmod(node, self.cols)
-
     def hops(self, src: int, dst: int) -> int:
         """Manhattan distance — the link traversals of an XY-routed packet."""
         if 0 <= src < self.n_nodes and 0 <= dst < self.n_nodes:
@@ -60,33 +55,6 @@ class MeshTopology:
         self._check(src)
         self._check(dst)
         raise AssertionError("unreachable")  # pragma: no cover
-
-    @property
-    def diameter(self) -> int:
-        """Maximum hop count between any two populated nodes."""
-        last = self.n_nodes - 1
-        row, col = divmod(last, self.cols)
-        return row + max(col, self.cols - 1 if row > 0 else col)
-
-    def average_hops(self) -> float:
-        """Mean hop count over all ordered pairs of distinct nodes."""
-        if self.n_nodes == 1:
-            return 0.0
-        total = sum(sum(row) for row in self.hop_table)
-        return total / (self.n_nodes * (self.n_nodes - 1))
-
-    def neighbors(self, node: int) -> List[int]:
-        """Directly connected nodes (mesh edges, no wraparound)."""
-        self._check(node)
-        row, col = divmod(node, self.cols)
-        found = []
-        for d_row, d_col in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            n_row, n_col = row + d_row, col + d_col
-            if 0 <= n_row < self.rows and 0 <= n_col < self.cols:
-                neighbor = n_row * self.cols + n_col
-                if neighbor < self.n_nodes:
-                    found.append(neighbor)
-        return found
 
     def _check(self, node: int) -> None:
         if not 0 <= node < self.n_nodes:

@@ -405,10 +405,10 @@ class TCCProcessor:
     # ------------------------------------------------------------------
 
     def _send(self, dst: int, msg: Any) -> None:
-        self.network.send(self.node, dst, msg, msg.payload_bytes, msg.traffic_class)
+        self.network.send(self.node, dst, msg)
 
     def multicast(self, dsts, msg: Any) -> None:
-        self.network.multicast(self.node, dsts, msg, msg.payload_bytes, msg.traffic_class)
+        self.network.multicast(self.node, dsts, msg)
 
     # ------------------------------------------------------------------
     # execution
@@ -632,13 +632,13 @@ class TCCProcessor:
         self._attempt_miss += self.engine.now - started
 
     def _fill(self, line: int, data: List[int]) -> None:
-        for notice in self.hierarchy.fill(line, data):
+        for victim in self.hierarchy.fill(line, data):
             self._send(
-                self.mapping.home(notice.line),
+                self.mapping.home(victim.line),
                 WriteBackMsg(
                     self.node,
-                    notice.line,
-                    notice.valid_words(),
+                    victim.line,
+                    victim.valid_words(),
                     self.latest_tid,
                     remove=True,
                 ),

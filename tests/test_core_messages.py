@@ -1,11 +1,14 @@
 """Unit tests for the coherence message set (sizes and traffic classes)."""
 
+import dataclasses
+
 from repro.core import messages as m
 from repro.network.message import (
     CLASS_COMMIT,
     CLASS_MISS,
     CLASS_OVERHEAD,
     CLASS_WRITEBACK,
+    TRAFFIC_CLASSES,
 )
 
 
@@ -75,3 +78,29 @@ def test_token_messages():
 
 def test_flush_request_overhead():
     assert m.FlushRequest(directory=0, line=1).traffic_class == CLASS_OVERHEAD
+
+
+def _minimal(cls):
+    """An instance of message ``cls`` with every required field empty."""
+    samples = {"int": 0, "bool": False, "List[int]": [0] * 8}
+    return cls(**{
+        f.name: samples.get(f.type, {})
+        for f in dataclasses.fields(cls)
+        if f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    })
+
+
+def test_every_message_has_a_known_class_and_a_nonnegative_size():
+    # The network reads both straight off the message it carries.
+    classes = [
+        cls for cls in vars(m).values()
+        if isinstance(cls, type) and cls.__module__ == m.__name__
+        and dataclasses.is_dataclass(cls)
+    ]
+    assert len(classes) >= 20
+    for cls in classes:
+        msg = _minimal(cls)
+        assert msg.traffic_class in TRAFFIC_CLASSES, cls.__name__
+        assert isinstance(msg.payload_bytes, int), cls.__name__
+        assert msg.payload_bytes >= 0, cls.__name__

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import ScalableTCCSystem, SystemConfig, Transaction
-from repro.directory.controller import _DirectoryCache
+from repro.memory.cache import TagLRU as _DirectoryCache
 from repro.workloads.base import Workload
 
 

@@ -35,14 +35,12 @@ class Rig:
             0, self.engine, self.network, self.memory, self.amap, self.config
         )
         self.received = defaultdict(list)
-        self.network.register(0, lambda pkt: self.dir.deliver(pkt.payload))
+        self.network.register(0, self.dir.deliver)
         for node in (1, 2, 3):
-            self.network.register(
-                node, lambda pkt, n=node: self.received[n].append(pkt.payload)
-            )
+            self.network.register(node, self.received[node].append)
 
     def send(self, src, msg):
-        self.network.send(src, 0, msg, msg.payload_bytes, msg.traffic_class)
+        self.network.send(src, 0, msg)
 
     def run(self):
         self.engine.run()

@@ -13,20 +13,21 @@ from repro.faults import (
     Retrier,
     random_fault_plan,
 )
-from repro.network.message import Packet
 from repro.sim import Engine
 
 
-class RetryablePayload:
+class RetryableMsg:
     retryable = True
+    traffic_class = "commit"
 
 
-class FragilePayload:  # no end-to-end retry protects this
-    pass
+class FragileMsg:  # no end-to-end retry protects this
+    traffic_class = "commit"
 
 
-def make_packet(src=0, dst=1, payload=None, traffic_class="commit"):
-    return Packet(src, dst, payload or RetryablePayload(), 8, traffic_class)
+def make_packet(src=0, dst=1, msg=None):
+    """One message copy on the wire: ``(src, dst, msg)``."""
+    return src, dst, msg or RetryableMsg()
 
 
 def injected(plan, packets, delay=5, run_until=None):
@@ -36,9 +37,10 @@ def injected(plan, packets, delay=5, run_until=None):
     stats = FaultStats()
     injector = FaultInjector(plan, 4, stats=stats)
     delivered = []
-    for packet in packets:
+    for src, dst, msg in packets:
         injector.dispatch(
-            engine, lambda p: delivered.append((engine.now, p)), packet, delay
+            engine, lambda item: delivered.append((engine.now, item)),
+            src, dst, msg, delay,
         )
     engine.run(until=run_until)
     return delivered, stats
@@ -151,7 +153,7 @@ def test_drop_removes_retryable_packet():
 
 def test_drop_downgraded_to_delay_for_fragile_payload():
     plan = FaultPlan(packet_faults=(PacketFault("drop", 1.0, delay=100),))
-    delivered, stats = injected(plan, [make_packet(payload=FragilePayload())])
+    delivered, stats = injected(plan, [make_packet(msg=FragileMsg())])
     assert len(delivered) == 1
     assert delivered[0][0] > 5  # delayed beyond the fault-free time
     assert stats.drops == 0
@@ -190,26 +192,16 @@ def test_reorder_later_packet_overtakes_held_one():
     stats = FaultStats()
     injector = FaultInjector(plan, 4, stats=stats)
     delivered = []
-    first = make_packet()
-    second = make_packet()
-    injector.dispatch(engine, lambda p: delivered.append(p), first, 5)
-    injector.dispatch(engine, lambda p: delivered.append(p), second, 5)
+    first = RetryableMsg()
+    second = RetryableMsg()
+    injector.dispatch(engine, lambda item: delivered.append(item), 0, 1, first, 5)
+    injector.dispatch(engine, lambda item: delivered.append(item), 0, 2, second, 5)
     engine.run()
-    # The second dispatch released the first (held) packet; the second
+    # The second dispatch released the first (held) message; the second
     # waited for its own backstop.  Both always arrive.
-    assert delivered == [first, second]
+    assert delivered == [(1, first), (2, second)]
     assert stats.reorders == 2
     assert stats.reorder_backstops == 1
-
-
-def test_flush_held_delivers_everything():
-    plan = FaultPlan(packet_faults=(PacketFault("reorder", 1.0, delay=10_000),))
-    engine = Engine()
-    injector = FaultInjector(plan, 4)
-    delivered = []
-    injector.dispatch(engine, lambda p: delivered.append(p), make_packet(), 5)
-    injector.flush_held(engine, lambda p: delivered.append(p))
-    assert len(delivered) == 1
 
 
 def test_injector_is_deterministic():

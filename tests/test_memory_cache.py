@@ -15,6 +15,10 @@ def small_cache(amap, ways=2, sets=4, granularity="word"):
     return SpeculativeCache(amap, size, ways, granularity=granularity)
 
 
+def resident(cache, line):
+    return cache.lookup(line, touch=False) is not None
+
+
 def test_geometry(amap):
     cache = SpeculativeCache(amap, 32 * 1024, 4)
     assert cache.n_sets == 256
@@ -93,20 +97,20 @@ def test_lru_eviction_of_clean_line(amap):
     cache.fill(0, [0] * 8)
     cache.fill(1, [0] * 8)
     cache.read(0, 0)  # make line 1 the LRU
-    notice = cache.fill(2, [0] * 8)
-    assert notice is not None
-    assert notice.line == 1
-    assert not notice.dirty
-    assert not cache.contains(1)
+    victim = cache.fill(2, [0] * 8)
+    assert victim is not None
+    assert victim.line == 1
+    assert not victim.dirty
+    assert not resident(cache, 1)
 
 
 def test_dirty_eviction_reports_data(amap):
     cache = small_cache(amap, ways=1, sets=1)
     cache.fill(0, [5] * 8)
     cache.write(0, 0, 42, speculative=False)
-    notice = cache.fill(1, [0] * 8)
-    assert notice.dirty
-    assert notice.data[0] == 42
+    victim = cache.fill(1, [0] * 8)
+    assert victim.dirty
+    assert victim.data[0] == 42
     assert cache.stats.dirty_evictions == 1
 
 
@@ -117,10 +121,10 @@ def test_speculative_lines_never_evicted(amap):
     cache.read(0, 0)
     cache.write(1, 0, 1)
     # Both resident lines are speculative; the set must overflow.
-    notice = cache.fill(2, [0] * 8)
-    assert notice is None
+    victim = cache.fill(2, [0] * 8)
+    assert victim is None
     assert cache.stats.speculative_overflows == 1
-    assert cache.contains(0) and cache.contains(1) and cache.contains(2)
+    assert resident(cache, 0) and resident(cache, 1) and resident(cache, 2)
 
 
 def test_refill_keeps_locally_valid_words(amap):
@@ -146,7 +150,7 @@ def test_invalidate_words_drops_fully_invalid_line(amap):
     cache = small_cache(amap)
     cache.fill(0, [1] * 8)
     cache.invalidate_words(0, amap.full_line_mask)
-    assert not cache.contains(0)
+    assert not resident(cache, 0)
 
 
 def test_invalidate_words_clears_speculative_flags(amap):
@@ -157,7 +161,7 @@ def test_invalidate_words_clears_speculative_flags(amap):
     entry = cache.invalidate_words(0, 0b0000_0110)
     assert entry.sr_mask == 0
     assert entry.sm_mask == 0
-    assert cache.contains(0)
+    assert resident(cache, 0)
 
 
 def test_valid_words_payload(amap):
@@ -193,7 +197,7 @@ def test_abort_drops_written_lines_keeps_read_lines(amap):
     cache.read(1, 3)
     dropped = cache.abort_speculative()
     assert dropped == [0]
-    assert not cache.contains(0)
+    assert not resident(cache, 0)
     entry = cache.lookup(1)
     assert entry.sr_mask == 0
     assert entry.data == [11] * 8
@@ -237,7 +241,7 @@ def test_sets_are_allocated_on_first_fill(amap):
     cache = SpeculativeCache(amap, 512 * 1024, 8)
     assert cache.resident_lines() == 0
     assert list(cache.lines()) == []
-    assert cache.read(5, 0) is None and not cache.contains(5)
+    assert cache.read(5, 0) is None and not resident(cache, 5)
     assert cache.invalidate(5) is None
     assert cache.invalidate_words(5, 0b1) is None
     assert len(cache._sets) == 0

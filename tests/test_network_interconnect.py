@@ -2,9 +2,20 @@
 
 import pytest
 
-from repro.network import CLASS_COMMIT, CLASS_MISS, Interconnect, Packet
+from repro.network import CLASS_COMMIT, CLASS_MISS, Interconnect
 from repro.network.message import HEADER_BYTES
 from repro.sim import Engine
+
+
+class Msg:
+    """What the network reads off a message: its size and class."""
+
+    __slots__ = ("tag", "payload_bytes", "traffic_class")
+
+    def __init__(self, tag=None, payload_bytes=0, traffic_class=CLASS_COMMIT):
+        self.tag = tag
+        self.payload_bytes = payload_bytes
+        self.traffic_class = traffic_class
 
 
 def make_net(n=4, **kwargs):
@@ -15,21 +26,15 @@ def make_net(n=4, **kwargs):
     return engine, net
 
 
-def test_packet_rejects_bad_class():
-    with pytest.raises(ValueError):
-        Packet(0, 1, None, 4, "bogus")
-    with pytest.raises(ValueError):
-        Packet(0, 1, None, -1, CLASS_MISS)
-
-
 def test_delivery_invokes_registered_handler():
     engine, net = make_net()
     received = []
-    net.register(1, lambda pkt: received.append((engine.now, pkt.payload)))
-    net.send(0, 1, "hello", 0, CLASS_COMMIT)
+    net.register(1, lambda msg: received.append((engine.now, msg)))
+    hello = Msg("hello")
+    net.send(0, 1, hello)
     engine.run()
     assert len(received) == 1
-    assert received[0][1] == "hello"
+    assert received[0][1] is hello
 
 
 def test_latency_scales_with_hops():
@@ -55,23 +60,23 @@ def test_serialization_adds_size_cycles():
 
 def test_unregistered_destination_raises():
     engine, net = make_net()
-    net.send(0, 3, None, 0, CLASS_COMMIT)
+    net.send(0, 3, Msg())
     with pytest.raises(RuntimeError):
         engine.run()
 
 
 def test_duplicate_registration_rejected():
     _, net = make_net()
-    net.register(0, lambda pkt: None)
+    net.register(0, lambda msg: None)
     with pytest.raises(ValueError):
-        net.register(0, lambda pkt: None)
+        net.register(0, lambda msg: None)
 
 
 def test_traffic_accounting_by_class():
     engine, net = make_net()
-    net.register(1, lambda pkt: None)
-    net.send(0, 1, None, 32, CLASS_MISS)
-    net.send(0, 1, None, 8, CLASS_COMMIT)
+    net.register(1, lambda msg: None)
+    net.send(0, 1, Msg(None, 32, CLASS_MISS))
+    net.send(0, 1, Msg(None, 8, CLASS_COMMIT))
     engine.run()
     assert net.stats.bytes_by_class["miss"] == 32
     assert net.stats.bytes_by_class["commit"] == 8
@@ -82,18 +87,18 @@ def test_traffic_accounting_by_class():
 
 def test_per_node_byte_counters():
     engine, net = make_net()
-    net.register(2, lambda pkt: None)
-    net.send(0, 2, None, 8, CLASS_MISS)
+    net.register(2, lambda msg: None)
+    net.send(0, 2, Msg(None, 8, CLASS_MISS))
     engine.run()
     assert net.stats.bytes_into_node[2] == 8 + HEADER_BYTES
-    assert net.stats.bytes_out_of_node[0] == 8 + HEADER_BYTES
+    assert net.stats.bytes_into_node[0] == 0
 
 
 def test_multicast_charged_once_plus_route_bytes():
     engine, net = make_net()
     for node in (1, 2, 3):
-        net.register(node, lambda pkt: None)
-    net.multicast(0, [1, 2, 3], "skip", 4, CLASS_COMMIT)
+        net.register(node, lambda msg: None)
+    net.multicast(0, [1, 2, 3], Msg("skip", 4))
     engine.run()
     # one full packet (4B payload + header) + 2 replica route bytes
     assert net.stats.bytes_by_class["commit"] == 4
@@ -105,8 +110,8 @@ def test_multicast_sends_one_packet_per_destination():
     engine, net = make_net()
     hits = []
     for node in (1, 2, 3):
-        net.register(node, lambda pkt, n=node: hits.append(n))
-    count = net.multicast(0, [1, 2, 3], "skip", 4, CLASS_COMMIT)
+        net.register(node, lambda msg, n=node: hits.append(n))
+    count = net.multicast(0, [1, 2, 3], Msg("skip", 4))
     engine.run()
     assert count == 3
     assert sorted(hits) == [1, 2, 3]
@@ -115,9 +120,9 @@ def test_multicast_sends_one_packet_per_destination():
 def test_ordered_network_preserves_fifo_between_pair():
     engine, net = make_net(4)
     order = []
-    net.register(1, lambda pkt: order.append(pkt.payload))
+    net.register(1, lambda msg: order.append(msg.tag))
     for i in range(10):
-        net.send(0, 1, i, 4, CLASS_COMMIT)
+        net.send(0, 1, Msg(i, 4))
     engine.run()
     assert order == list(range(10))
 
@@ -127,9 +132,9 @@ def test_unordered_network_can_reorder():
     net = Interconnect(engine, 4, ordered=False, jitter=5, seed=7,
                        link_bytes_per_cycle=None)
     order = []
-    net.register(1, lambda pkt: order.append(pkt.payload))
+    net.register(1, lambda msg: order.append(msg.tag))
     for i in range(50):
-        net.send(0, 1, i, 4, CLASS_COMMIT)
+        net.send(0, 1, Msg(i, 4))
     engine.run()
     assert sorted(order) == list(range(50))
     assert order != list(range(50))  # jitter must produce some reordering
@@ -146,10 +151,10 @@ def test_egress_bandwidth_serializes_departures():
     net = Interconnect(engine, 4, ordered=True, link_bytes_per_cycle=8,
                        link_latency=1, router_latency=0)
     times = []
-    net.register(1, lambda pkt: times.append(engine.now))
+    net.register(1, lambda msg: times.append(engine.now))
     # Three 56-byte payloads (64B total = 8 inject cycles each) back to back.
     for _ in range(3):
-        net.send(0, 1, None, 56, CLASS_MISS)
+        net.send(0, 1, Msg(None, 56, CLASS_MISS))
     engine.run()
     assert times[1] - times[0] == 8
     assert times[2] - times[1] == 8
@@ -160,9 +165,9 @@ def _delivery_order(seed=7, sends=50):
     net = Interconnect(engine, 4, ordered=False, jitter=5, seed=seed,
                        link_bytes_per_cycle=None)
     order = []
-    net.register(1, lambda pkt: order.append(pkt.payload))
+    net.register(1, lambda msg: order.append(msg.tag))
     for i in range(sends):
-        net.send(0, 1, i, 4, CLASS_COMMIT)
+        net.send(0, 1, Msg(i, 4))
     engine.run()
     return order
 
@@ -187,23 +192,13 @@ def test_ordered_mode_bypasses_jitter_draws():
                        link_bytes_per_cycle=None)
     assert net.jitter == 0
     order = []
-    net.register(1, lambda pkt: order.append(pkt.payload))
+    net.register(1, lambda msg: order.append(msg.tag))
     for i in range(20):
-        net.send(0, 1, i, 4, CLASS_COMMIT)
+        net.send(0, 1, Msg(i, 4))
     engine.run()
     assert order == list(range(20))
     # No randomness was consumed from the instance RNG.
     assert net._rng.random() == type(net._rng)(3).random()
-
-
-def test_packet_latency_property():
-    engine, net = make_net()
-    seen = []
-    net.register(1, lambda pkt: seen.append(pkt))
-    net.send(0, 1, None, 0, CLASS_MISS)
-    engine.run()
-    assert seen[0].latency == seen[0].deliver_time - seen[0].send_time
-    assert seen[0].latency > 0
 
 
 def test_jitter_draws_equal_randint_on_the_same_stream():
@@ -214,11 +209,16 @@ def test_jitter_draws_equal_randint_on_the_same_stream():
         net = Interconnect(engine, 4, ordered=False, jitter=jitter, seed=11,
                            link_bytes_per_cycle=None, link_latency=3,
                            router_latency=1)
-        packets = [net.send(0, 1, i, 4, CLASS_COMMIT) for i in range(200)]
+        arrivals = {}
+        net.register(1, lambda msg: arrivals.setdefault(msg.tag, engine.now))
+        for i in range(200):
+            net.send(0, 1, Msg(i, 4))
+        engine.run()
         base = net.transit_cycles(0, 1, 4 + HEADER_BYTES)
         stream = random.Random(11)
-        assert [p.latency - base for p in packets] == [
-            stream.randint(0, jitter) for _ in packets
+        # Every message left at cycle 0, so its arrival cycle is its latency.
+        assert [arrivals[i] - base for i in range(200)] == [
+            stream.randint(0, jitter) for _ in range(200)
         ]
 
 
@@ -231,12 +231,12 @@ def test_multicast_deliveries_and_bytes_match_the_wire_model():
                        link_bytes_per_cycle=8)
     delivered = []
     for node in range(16):
-        net.register(node, lambda pkt: delivered.append(
-            (engine.now, pkt.dst, pkt.payload)))
+        net.register(node, lambda msg, n=node: delivered.append(
+            (engine.now, n, msg.tag)))
     # Busy the source's egress so the first copy queues behind it.
     before_bytes = 40 + HEADER_BYTES
-    net.send(src, 1, "before", 40, CLASS_MISS)
-    assert net.multicast(src, iter(dsts), "skip", 4, CLASS_COMMIT) == len(dsts)
+    net.send(src, 1, Msg("before", 40, CLASS_MISS))
+    assert net.multicast(src, iter(dsts), Msg("skip", 4)) == len(dsts)
     engine.run()
 
     stream = random.Random(5)
@@ -260,59 +260,60 @@ def test_multicast_deliveries_and_bytes_match_the_wire_model():
     for dst in dsts[1:]:
         into[dst] = into.get(dst, 0) + 1
     assert dict(stats.bytes_into_node) == into
-    assert dict(stats.bytes_out_of_node) == {
-        src: before_bytes + 4 + HEADER_BYTES
-    }
 
 
 def test_multicast_to_nobody_sends_nothing():
     engine, net = make_net()
-    assert net.multicast(0, [], "skip", 4, CLASS_COMMIT) == 0
+    assert net.multicast(0, [], Msg("skip", 4)) == 0
     assert net.stats.packets == 0
 
 
 def test_send_to_a_node_outside_the_mesh_raises():
     engine, net = make_net(4)
     with pytest.raises(ValueError):
-        net.send(0, 4, None, 0, CLASS_COMMIT)
+        net.send(0, 4, Msg())
     with pytest.raises(ValueError):
-        net.send(-1, 1, None, 0, CLASS_COMMIT)
+        net.send(-1, 1, Msg())
     with pytest.raises(ValueError):
-        net.multicast(0, [1, -1], None, 0, CLASS_COMMIT)
+        net.multicast(0, [1, -1], Msg())
 
 
-def test_packet_ids_count_this_interconnects_packets():
+def test_packet_count_is_per_interconnect():
     engine, net = make_net()
-    net.register(1, lambda pkt: None)
-    net.register(2, lambda pkt: None)
-    first = net.send(0, 1, None, 0, CLASS_COMMIT)
-    net.multicast(0, [1, 2], None, 0, CLASS_COMMIT)
-    assert first.packet_id == 1
-    assert net.send(0, 2, None, 0, CLASS_COMMIT).packet_id == 4
-    # Another interconnect in the same process starts from 1 again.
+    net.register(1, lambda msg: None)
+    net.register(2, lambda msg: None)
+    net.send(0, 1, Msg())
+    assert net.stats.packets == 1
+    net.multicast(0, [1, 2], Msg())
+    net.send(0, 2, Msg())
+    assert net.stats.packets == 4
+    # Another interconnect in the same process counts from 0 again.
     _, other = make_net()
-    assert other.send(0, 1, None, 0, CLASS_COMMIT).packet_id == 1
+    other.send(0, 1, Msg())
+    assert other.stats.packets == 1
+    assert net.stats.packets == 4
 
 
-def test_identical_systems_in_one_process_see_identical_packet_ids():
+def test_identical_systems_in_one_process_see_identical_deliveries():
     from repro import ScalableTCCSystem, SystemConfig
     from repro.workloads.micro import CounterWorkload
 
-    def packet_trace():
+    def delivery_trace():
         system = ScalableTCCSystem(SystemConfig(n_processors=4, seed=3))
         network = system.network
         deliver = network._deliver
         seen = []
 
-        def recording(packet):
-            seen.append((system.engine.now, packet.packet_id, packet.src,
-                         packet.dst))
-            deliver(packet)
+        def recording(item):
+            dst, msg = item
+            seen.append((system.engine.now, dst, repr(msg)))
+            deliver(item)
 
         network._deliver = recording
         system.run(CounterWorkload(), verify=False)
+        assert len(seen) == network.stats.packets
         return seen
 
-    first = packet_trace()
-    assert first and first[0][1] == 1
-    assert packet_trace() == first
+    first = delivery_trace()
+    assert first
+    assert delivery_trace() == first
