@@ -4,7 +4,7 @@ Usage (also ``python -m repro <command>``):
 
     python -m repro list-apps
     python -m repro describe [-n 64]
-    python -m repro run barnes -n 16 --scale 0.5 [--tape]
+    python -m repro run barnes -n 16 --scale 0.5 [--tape] [--report FILE]
     python -m repro scaling specjbb2000 -n 1,8,32
     python -m repro latency equake --hops 1,3,8 -n 32
     python -m repro traffic swim -n 64
@@ -12,6 +12,10 @@ Usage (also ``python -m repro <command>``):
     python -m repro conform --cases 500 --seed 0 [--faults] [--jobs 4]
     python -m repro conform --quick --source patterns --faults --no-cache
     python -m repro lint [--format json] [--baseline FILE]
+
+``run --tape``, ``--report`` and ``--timeline`` switch the event log
+on (``SystemConfig.event_log``): the TAPE violation profile and the
+timeline are views over it.
 
 Multi-run commands (``sweep``, ``conform``) fan their
 independent runs out over worker processes (``--jobs``, default: all
@@ -40,6 +44,7 @@ from repro.analysis import (
     run_scaling,
 )
 from repro.stats import characteristics, speedup
+from repro.tracing import render_timeline, tape_report
 
 
 def _int_list(text: str) -> List[int]:
@@ -154,7 +159,7 @@ def cmd_describe(args) -> int:
 def cmd_run(args) -> int:
     name = _check_app(args.app)
     config = _config_from(args)
-    if args.timeline:
+    if args.timeline or args.tape or args.report:
         import dataclasses
 
         config = dataclasses.replace(config, event_log=True)
@@ -182,17 +187,15 @@ def cmd_run(args) -> int:
           f"{row.dirs_per_commit_p90:.0f} dirs/commit")
     if args.tape:
         print()
-        print(system.tape.report())
+        print(tape_report(system))
     if args.timeline:
-        from repro.tracing import render_timeline
-
         print()
         print(render_timeline(system.events, config.n_processors,
                               width=96, end_time=result.cycles))
     if args.report:
         from repro.analysis import render_report
 
-        text = render_report(name, result, system.tape.report())
+        text = render_report(name, result, tape_report(system))
         with open(args.report, "w") as handle:
             handle.write(text + "\n")
         print(f"\nreport written to {args.report}")

@@ -40,7 +40,6 @@ from repro.memory.hierarchy import PrivateHierarchy
 from repro.network.interconnect import Interconnect, TrafficStats
 from repro.processor.core import TCCProcessor
 from repro.processor.stats import ProcessorStats
-from repro.profiling.tape import TapeProfiler
 from repro.sim import PARK, Engine, Process
 from repro.verify.serializability import CommitRecord, SerializabilityChecker
 from repro.workloads.base import ScheduleItem, Workload
@@ -128,46 +127,6 @@ class SimulationResult:
             for cls, count in self.traffic.bytes_by_class.items()
         }
 
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-serializable summary (config, outcome, breakdowns,
-        traffic, per-processor counters) for archiving experiment runs."""
-        from dataclasses import asdict
-
-        return {
-            "config": asdict(self.config),
-            "cycles": self.cycles,
-            "committed_transactions": self.committed_transactions,
-            "violations": self.total_violations,
-            "committed_instructions": self.committed_instructions,
-            "events_executed": self.events_executed,
-            "fault_stats": (
-                self.fault_stats.as_dict() if self.fault_stats else None
-            ),
-            "breakdown": self.breakdown(),
-            "breakdown_fractions": self.breakdown_fractions(),
-            "bytes_per_instruction": self.bytes_per_instruction(),
-            "traffic_bytes_by_class": dict(self.traffic.bytes_by_class),
-            "directory_working_sets": list(self.directory_working_sets),
-            "per_processor": [
-                {
-                    "node": node,
-                    **stats.breakdown(),
-                    "committed_transactions": stats.committed_transactions,
-                    "violations": stats.violations,
-                    "load_retries": stats.load_retries,
-                    "tid_retentions": stats.tid_retentions,
-                }
-                for node, stats in enumerate(self.proc_stats)
-            ],
-        }
-
-    def save_json(self, path: str) -> None:
-        """Write :meth:`to_dict` as JSON."""
-        import json
-
-        with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle, indent=2)
-
 
 class ScalableTCCSystem:
     """The full simulated machine."""
@@ -191,7 +150,6 @@ class ScalableTCCSystem:
             config.n_processors, config.page_size, config.line_size
         )
         self.vendor = TidVendor()
-        self.tape = TapeProfiler()
         if config.event_log:
             from repro.tracing import EventLog
 
@@ -331,9 +289,6 @@ class ScalableTCCSystem:
         from repro.verify.invariants import check_system_invariants
 
         check_system_invariants(self, strict_sharers=True)
-        self.tape.overflow_events = sum(
-            p.hierarchy.stats.speculative_overflows for p in self.processors
-        )
         self._drain()
         for directory in self.directories:
             directory.quiescent_check()

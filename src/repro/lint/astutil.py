@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -40,14 +40,6 @@ def functions_in(tree: ast.AST) -> Iterator[ast.AST]:
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
-
-
-def decorator_names(node: ast.ClassDef) -> Iterable[str]:
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        name = dotted_name(target)
-        if name:
-            yield name.rsplit(".", 1)[-1]
 
 
 def dataclass_decorator(node: ast.ClassDef) -> Optional[ast.AST]:

@@ -19,7 +19,7 @@ refactor is automatically held to sim-path rules.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Set
+from typing import Dict, List, Set
 
 from repro.lint.loader import Module
 
@@ -105,16 +105,3 @@ def classify_modules(modules: Dict[str, Module]) -> Dict[str, str]:
 
 def sim_modules(modules: Dict[str, Module]) -> List[Module]:
     return [m for m in modules.values() if m.path_kind == SIM]
-
-
-def ensure_classified(modules: Dict[str, Module]) -> None:
-    """Classify once; cheap to call defensively from rules."""
-    if all(m.path_kind == DRIVER for m in modules.values()):
-        classify_modules(modules)
-
-
-def iter_functions(tree: ast.AST) -> Iterable[ast.AST]:
-    """Every function/async-function definition in ``tree``."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node

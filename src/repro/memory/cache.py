@@ -26,7 +26,7 @@ that with large private L2 caches these overflows are rare.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.memory.address import AddressMap
 
@@ -334,9 +334,6 @@ class SpeculativeCache:
             )
             self._spec_sorted = scan
         return scan
-
-    def speculative_lines(self) -> Iterable[CacheLine]:
-        return self._spec_scan()
 
     def written_lines(self) -> List[CacheLine]:
         """Lines with speculative modifications (the transaction write-set)."""

@@ -129,7 +129,7 @@ class TCCProcessor:
 
         self.finished = False
         self.finished_at = 0  # cycle at which the schedule ran out
-        self.event_log = system.events if hasattr(system, "events") else None
+        self.event_log = system.events
 
         from repro.baseline.token import TokenCommitEngine
         from repro.processor.commit import ScalableCommitEngine
@@ -298,12 +298,10 @@ class TCCProcessor:
             overlap = word_mask & (entry.sr_mask | entry.sm_mask)
             if overlap and self.in_transaction and not self.validated:
                 if self.current_tid is None or inv_tid < self.current_tid:
-                    self.system.tape.note_violation_cause(
-                        self.node, line, word_mask, inv_tid, committer
-                    )
                     if self.event_log is not None:
                         self.event_log.log(self.engine.now, "violation",
-                                           self.node, line=line, tid=inv_tid)
+                                           self.node, line=line, tid=inv_tid,
+                                           committer=committer)
                     self._violate()
                 elif entry.sm_mask & word_mask:
                     # A logically-later commit overwrote our unvalidated
@@ -505,13 +503,9 @@ class TCCProcessor:
         if commit_start is not None:
             wasted += self.engine.now - commit_start
         self.stats.violation_cycles += wasted
-        self.system.tape.record_abort(
-            self.engine.now, self.node, tx, wasted,
-            in_commit_phase=commit_start is not None,
-        )
         if self.event_log is not None:
             self.event_log.log(self.engine.now, "tx_abort", self.node,
-                               tx=tx.tx_id)
+                               tx=tx.tx_id, label=tx.label, wasted=wasted)
         self.hierarchy.abort_speculative()
         self.in_transaction = False
         self._consecutive_violations += 1
@@ -522,7 +516,6 @@ class TCCProcessor:
         ):
             self.retained = True
             self.stats.tid_retentions += 1
-            self.system.tape.record_retention(self.engine.now, self.node, tx)
         return False
 
     def _record_commit(self, tx: Transaction, commit_start: int) -> None:

@@ -9,8 +9,8 @@ from typing import Any, Dict, Iterator, List, Optional
 CATEGORIES = (
     "tx_start",      # processor begins a transaction attempt
     "tx_commit",     # attempt committed (fields: tid, tx)
-    "tx_abort",      # attempt violated and rolled back (fields: tx)
-    "violation",     # the invalidation that killed an attempt
+    "tx_abort",      # attempt rolled back (fields: tx, label, wasted)
+    "violation",     # what killed an attempt (fields: line, tid, committer)
     "load_miss",     # remote load issued (fields: line, home)
     "load_retry",    # load/invalidate race retry (fields: line)
     "commit_start",  # commit phase entered (fields: tx)
@@ -42,17 +42,12 @@ class ProtocolEvent:
 class EventLog:
     """Append-only event store with filtering and rendering."""
 
-    def __init__(self, capacity: int = 200_000) -> None:
-        self.capacity = capacity
+    def __init__(self) -> None:
         self.events: List[ProtocolEvent] = []
-        self.dropped = 0
 
     def log(self, time: int, category: str, node: int, **fields: Any) -> None:
         if category not in CATEGORIES:
             raise ValueError(f"unknown event category {category!r}")
-        if len(self.events) >= self.capacity:
-            self.dropped += 1
-            return
         self.events.append(ProtocolEvent(time, category, node, fields))
 
     def __len__(self) -> int:

@@ -1,40 +1,9 @@
-"""Tests for result export and the sweep utility."""
-
-import json
+"""Tests for the sweep utility."""
 
 import pytest
 
-from repro import ScalableTCCSystem, SystemConfig
+from repro import SystemConfig
 from repro.analysis.sweep import Sweep
-from repro.workloads import CounterWorkload
-
-
-@pytest.fixture(scope="module")
-def result():
-    system = ScalableTCCSystem(SystemConfig(n_processors=4))
-    return system.run(CounterWorkload(increments_per_proc=5),
-                      max_cycles=50_000_000)
-
-
-class TestExport:
-    def test_to_dict_structure(self, result):
-        data = result.to_dict()
-        assert data["config"]["n_processors"] == 4
-        assert data["cycles"] == result.cycles
-        assert data["committed_transactions"] == 20
-        assert len(data["per_processor"]) == 4
-        assert set(data["breakdown"]) == {
-            "useful", "miss", "idle", "commit", "violation"
-        }
-
-    def test_to_dict_is_json_serializable(self, result):
-        json.dumps(result.to_dict())
-
-    def test_save_json(self, result, tmp_path):
-        path = tmp_path / "run.json"
-        result.save_json(str(path))
-        loaded = json.loads(path.read_text())
-        assert loaded["cycles"] == result.cycles
 
 
 class TestSweep:
