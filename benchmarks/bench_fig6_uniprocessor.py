@@ -6,15 +6,18 @@ are no violations, so time splits between useful work, cache misses, and
 (negligible) idle.
 """
 
+from runner_env import bench_cache, bench_jobs
+
 from repro import APP_PROFILES, SystemConfig
-from repro.analysis import format_breakdown_figure, run_app
+from repro.analysis import format_breakdown_figure, run_apps
 
 SCALE = 0.5
 
 
 def _collect():
     config = SystemConfig(n_processors=1)
-    return {app: run_app(app, config, scale=SCALE) for app in APP_PROFILES}
+    return run_apps(APP_PROFILES, config, scale=SCALE,
+                    jobs=bench_jobs(), cache=bench_cache())
 
 
 def test_bench_fig6(benchmark, save_artifact):

@@ -18,7 +18,6 @@ from runner_env import bench_cache, bench_jobs
 
 from repro import APP_PROFILES
 from repro.analysis import format_breakdown_figure, run_scaling
-from repro.stats import speedup
 
 COUNTS = (1, 8, 16, 32, 64)
 SCALE = 1.0
@@ -41,7 +40,7 @@ def test_bench_fig7(benchmark, save_artifact):
         for n in COUNTS[1:]:
             label = f"{app}@{n}"
             series[label] = results[n].breakdown_fractions()
-            speedups[label] = speedup(results[1], results[n])
+            speedups[label] = results[n].speedup_over(results[1])
     save_artifact(
         "fig7_scaling",
         format_breakdown_figure(
@@ -51,14 +50,14 @@ def test_bench_fig7(benchmark, save_artifact):
         ),
     )
 
-    s64 = {app: speedup(r[1], r[64]) for app, r in all_results.items()}
-    s32 = {app: speedup(r[1], r[32]) for app, r in all_results.items()}
+    s64 = {app: r[64].speedup_over(r[1]) for app, r in all_results.items()}
+    s32 = {app: r[32].speedup_over(r[1]) for app, r in all_results.items()}
 
     # Monotone scaling for every application.
     for app, results in all_results.items():
         previous = 0.0
         for n in COUNTS[1:]:
-            current = speedup(results[1], results[n])
+            current = results[n].speedup_over(results[1])
             assert current > previous * 0.95, (app, n)  # allow tiny noise
             previous = current
 

@@ -15,9 +15,10 @@ sets that fit a directory cache, and occupancy a fraction of transaction
 execution time.
 """
 
+from runner_env import bench_cache, bench_jobs
+
 from repro import APP_PROFILES, SystemConfig
-from repro.analysis import format_table, run_app
-from repro.stats import characteristics
+from repro.analysis import format_table, run_apps
 
 N_PROCESSORS = 32
 SCALE = 0.5
@@ -35,17 +36,28 @@ HEADERS = [
 
 
 def _collect():
-    rows = {}
     config = SystemConfig(n_processors=N_PROCESSORS)
-    for app in APP_PROFILES:
-        result = run_app(app, config, scale=SCALE)
-        rows[app] = characteristics(app, result)
-    return rows
+    return run_apps(APP_PROFILES, config, scale=SCALE,
+                    jobs=bench_jobs(), cache=bench_cache())
+
+
+def _cells(app, row):
+    """One rendered line of Table 3 from a run's summary."""
+    return [
+        app,
+        f"{row.tx_size_p90:,.0f}",
+        f"{row.write_set_p90_kb:.2f}",
+        f"{row.read_set_p90_kb:.2f}",
+        f"{row.ops_per_word_written:.0f}",
+        f"{row.dirs_per_commit_p90:.0f}",
+        f"{row.working_set_p90_entries:,.0f}",
+        f"{row.occupancy_p90_cycles:,.0f}",
+    ]
 
 
 def test_bench_table3(benchmark, save_artifact):
     rows = benchmark.pedantic(_collect, rounds=1, iterations=1)
-    text = format_table(HEADERS, [row.row() for row in rows.values()])
+    text = format_table(HEADERS, [_cells(app, row) for app, row in rows.items()])
     save_artifact(
         "table3_characteristics",
         f"Table 3 — transactional characteristics @ {N_PROCESSORS} CPUs\n" + text,

@@ -10,7 +10,6 @@ Run:  python examples/quickstart.py
 """
 
 from repro import ScalableTCCSystem, SystemConfig, app_workload
-from repro.stats import speedup
 
 
 def main() -> None:
@@ -26,12 +25,13 @@ def main() -> None:
         config = SystemConfig(n_processors=n_processors)
         system = ScalableTCCSystem(config)
         # Every run is checked for serializability by the oracle.
-        results[n_processors] = system.run(app_workload(app, scale=scale))
+        result = system.run(app_workload(app, scale=scale))
+        results[n_processors] = result.summary()
 
     base, parallel = results[1], results[16]
     print(f"{app} @ 1 CPU : {base.cycles:>10,} cycles")
     print(f"{app} @ 16 CPUs: {parallel.cycles:>10,} cycles "
-          f"(speedup {speedup(base, parallel):.1f}x)")
+          f"(speedup {parallel.speedup_over(base):.1f}x)")
     print()
 
     print("Execution-time breakdown @ 16 CPUs:")

@@ -12,9 +12,8 @@ name as an argument to explore the suite, e.g.:
 
 import sys
 
-from repro import APP_PROFILES, SystemConfig
+from repro import APP_PROFILES
 from repro.analysis import format_breakdown_figure, run_scaling
-from repro.stats import speedup
 
 
 def main() -> None:
@@ -31,7 +30,7 @@ def main() -> None:
     for n, result in results.items():
         label = f"{app}@{n}"
         series[label] = result.breakdown_fractions()
-        speedups[label] = speedup(results[1], result)
+        speedups[label] = result.speedup_over(results[1])
 
     print()
     print(format_breakdown_figure(

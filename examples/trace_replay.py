@@ -38,7 +38,7 @@ def main() -> None:
             system = ScalableTCCSystem(
                 SystemConfig(n_processors=N_PROCS, commit_backend=backend)
             )
-            results[backend] = system.run(replay.to_workload())
+            results[backend] = system.run(replay.to_workload()).summary()
 
         print(f"\nidentical schedule, two machines:")
         for backend, result in results.items():

@@ -8,7 +8,7 @@ Public API quickstart::
     config = SystemConfig(n_processors=16)
     system = ScalableTCCSystem(config)
     result = system.run(app_workload("barnes", scale=0.25))
-    print(result.breakdown_fractions())
+    print(result.summary().breakdown_fractions())
 
 See README.md for the architecture overview and DESIGN.md for the
 paper-to-module mapping.

@@ -12,7 +12,6 @@ from repro.analysis.tables import (
     format_traffic_figure,
 )
 from repro.analysis.experiments import (
-    run_app,
     run_apps,
     run_latency_sweep,
     run_scaling,
@@ -27,7 +26,6 @@ __all__ = [
     "format_table",
     "format_traffic_figure",
     "render_report",
-    "run_app",
     "run_apps",
     "run_latency_sweep",
     "run_scaling",

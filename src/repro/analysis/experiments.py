@@ -1,22 +1,20 @@
 """Experiment drivers shared by the benchmark harness and examples.
 
-Each driver builds fresh systems (one per configuration — a system runs
-exactly one workload), runs the named application, and returns results
-keyed the way the corresponding paper artefact needs them.
+Each driver describes every run as a :class:`~repro.runner.JobSpec` (a
+system runs exactly one workload, so every configuration is a fresh
+job) and returns results keyed the way the corresponding paper artefact
+needs them.
 
-The multi-run drivers (``run_apps``, ``run_scaling``,
-``run_latency_sweep``) accept ``jobs`` and ``cache`` and always route
-through the :mod:`repro.runner` process pool: with ``jobs=1`` (the
-default) points execute in-process sequentially, with ``jobs > 1`` they
-run concurrently across worker processes, and ``cache`` memoizes their
-summaries in the content-addressed result cache.  They return
-:class:`~repro.runner.ResultSummary` objects — the scalar surface the
-figure drivers read (``cycles``, ``committed_transactions``,
-``breakdown_fractions()``, ``bytes_per_instruction()``, …) —
-bit-identical at any jobs/cache setting.  ``run_app`` stays in-process
-and returns the full :class:`~repro.core.system.SimulationResult` for
-callers that need per-transaction samples (Table 3 characteristics,
-reports).
+``run_apps``, ``run_scaling`` and ``run_latency_sweep`` accept ``jobs``
+and ``cache`` and always route through the :mod:`repro.runner` process
+pool: with ``jobs=1`` (the default) points execute in-process
+sequentially, with ``jobs > 1`` they run concurrently across worker
+processes, and ``cache`` memoizes their summaries in the
+content-addressed result cache.  They return
+:class:`~repro.runner.ResultSummary` objects — every number a figure or
+table reads (``cycles``, ``breakdown_fractions()``,
+``bytes_per_instruction()``, ``commit_phases``, the Table 3 row, …) —
+bit-identical at any jobs/cache setting.
 """
 
 from __future__ import annotations
@@ -24,26 +22,11 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.config import SystemConfig
-from repro.core.system import ScalableTCCSystem, SimulationResult
 from repro.runner import JobSpec, ResultSummary, run_jobs
 from repro.runner.pool import CacheLike
-from repro.workloads.apps import app_workload
 
 #: Safety bound: no single experiment may exceed this many cycles.
 MAX_CYCLES = 5_000_000_000
-
-
-def run_app(
-    name: str,
-    config: SystemConfig,
-    scale: float = 1.0,
-    verify: bool = True,
-) -> SimulationResult:
-    """One application on one configuration (in-process, full result)."""
-    system = ScalableTCCSystem(config)
-    workload = app_workload(name, scale=scale, line_size=config.line_size,
-                            word_size=config.word_size)
-    return system.run(workload, max_cycles=MAX_CYCLES, verify=verify)
 
 
 def _app_spec(name: str, config: SystemConfig, scale: float,

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.system import SimulationResult
-from repro.stats import characteristics
+from repro.core.result import SimulationResult
 
 
 def _md_table(headers, rows) -> str:
@@ -30,6 +29,7 @@ def render_report(
 ) -> str:
     """A self-contained markdown report for one run."""
     config = result.config
+    summary = result.summary()
     sections = [f"# Simulation report — {name}", ""]
 
     sections.append("## Machine")
@@ -44,27 +44,26 @@ def render_report(
     sections.append(_md_table(
         ["metric", "value"],
         [
-            ["cycles", f"{result.cycles:,}"],
-            ["committed transactions", result.committed_transactions],
-            ["violations (re-runs)", result.total_violations],
-            ["committed instructions", f"{result.committed_instructions:,}"],
-            ["simulator events", f"{result.events_executed:,}"],
+            ["cycles", f"{summary.cycles:,}"],
+            ["committed transactions", summary.committed_transactions],
+            ["violations (re-runs)", summary.total_violations],
+            ["committed instructions", f"{summary.committed_instructions:,}"],
+            ["simulator events", f"{summary.events_executed:,}"],
         ],
     ))
     sections.append("")
 
     sections.append("## Execution-time breakdown")
     sections.append("")
-    fractions = result.breakdown_fractions()
+    fractions = summary.breakdown_fractions()
     sections.append(_md_table(
         ["component", "fraction"],
         [[k, f"{v * 100:.1f}%"] for k, v in fractions.items()],
     ))
     sections.append("")
 
-    tid = sum(s.commit_tid_cycles for s in result.proc_stats)
-    probe = sum(s.commit_probe_cycles for s in result.proc_stats)
-    ack = sum(s.commit_ack_cycles for s in result.proc_stats)
+    phases = summary.commit_phases
+    tid, probe, ack = phases["tid"], phases["probe"], phases["ack"]
     total_commit = tid + probe + ack
     if total_commit:
         sections.append("## Commit-phase breakdown")
@@ -81,24 +80,23 @@ def render_report(
 
     sections.append("## Transactional characteristics (Table 3 row)")
     sections.append("")
-    row = characteristics(name, result)
     sections.append(_md_table(
         ["tx size p90", "wr-set p90", "rd-set p90", "ops/word",
          "dirs/commit p90", "occupancy p90"],
         [[
-            f"{row.tx_size_p90:,.0f} inst",
-            f"{row.write_set_p90_kb:.2f} KB",
-            f"{row.read_set_p90_kb:.2f} KB",
-            f"{row.ops_per_word_written:.0f}",
-            f"{row.dirs_per_commit_p90:.0f}",
-            f"{row.occupancy_p90_cycles:,.0f} cy",
+            f"{summary.tx_size_p90:,.0f} inst",
+            f"{summary.write_set_p90_kb:.2f} KB",
+            f"{summary.read_set_p90_kb:.2f} KB",
+            f"{summary.ops_per_word_written:.0f}",
+            f"{summary.dirs_per_commit_p90:.0f}",
+            f"{summary.occupancy_p90_cycles:,.0f} cy",
         ]],
     ))
     sections.append("")
 
     sections.append("## Remote traffic (Figure 9 row)")
     sections.append("")
-    bpi = result.bytes_per_instruction()
+    bpi = summary.bytes_per_instruction()
     sections.append(_md_table(
         ["commit", "miss", "writeback", "overhead", "total"],
         [[f"{bpi[k]:.4f}" for k in ("commit", "miss", "writeback", "overhead")]

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
-BREAKDOWN_ORDER = ("useful", "miss", "idle", "commit", "violation")
+from repro.core.result import BREAKDOWN_KEYS
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -29,10 +29,10 @@ def format_breakdown_figure(
     ``series`` maps a row label (e.g. "barnes@8") to its breakdown
     fractions.
     """
-    headers = ["config"] + list(BREAKDOWN_ORDER) + (["speedup"] if speedups else [])
+    headers = ["config"] + list(BREAKDOWN_KEYS) + (["speedup"] if speedups else [])
     rows = []
     for label, breakdown in series.items():
-        row = [label] + [f"{breakdown.get(k, 0.0) * 100:5.1f}%" for k in BREAKDOWN_ORDER]
+        row = [label] + [f"{breakdown.get(k, 0.0) * 100:5.1f}%" for k in BREAKDOWN_KEYS]
         if speedups:
             row.append(f"{speedups.get(label, 0.0):5.1f}x")
         rows.append(row)

@@ -40,10 +40,10 @@ from repro.analysis import (
     format_breakdown_figure,
     format_table,
     format_traffic_figure,
+    run_apps,
     run_latency_sweep,
     run_scaling,
 )
-from repro.stats import characteristics, speedup
 from repro.tracing import render_timeline, tape_report
 
 
@@ -168,23 +168,24 @@ def cmd_run(args) -> int:
         app_workload(name, scale=args.scale),
         verify=not args.no_verify,
     )
+    summary = result.summary()
     print(f"{name} @ {config.n_processors} CPUs "
           f"({config.commit_backend} commit, {config.granularity} tracking)")
-    print(f"  cycles       : {result.cycles:,}")
-    print(f"  transactions : {result.committed_transactions} committed, "
-          f"{result.total_violations} violated")
-    print(f"  instructions : {result.committed_instructions:,}")
+    print(f"  cycles       : {summary.cycles:,}")
+    print(f"  transactions : {summary.committed_transactions} committed, "
+          f"{summary.total_violations} violated")
+    print(f"  instructions : {summary.committed_instructions:,}")
     print("  breakdown    : " + "  ".join(
-        f"{k}={v * 100:.1f}%" for k, v in result.breakdown_fractions().items()
+        f"{k}={v * 100:.1f}%" for k, v in summary.breakdown_fractions().items()
     ))
-    bpi = result.bytes_per_instruction()
+    bpi = summary.bytes_per_instruction()
     print(f"  traffic      : {sum(bpi.values()):.3f} B/instr "
           f"(commit {bpi['commit']:.3f}, miss {bpi['miss']:.3f}, "
           f"wb {bpi['writeback']:.3f}, overhead {bpi['overhead']:.3f})")
-    row = characteristics(name, result)
-    print(f"  tx size p90  : {row.tx_size_p90:,.0f} inst; "
-          f"wr-set {row.write_set_p90_kb:.2f} KB, rd-set {row.read_set_p90_kb:.2f} KB; "
-          f"{row.dirs_per_commit_p90:.0f} dirs/commit")
+    print(f"  tx size p90  : {summary.tx_size_p90:,.0f} inst; "
+          f"wr-set {summary.write_set_p90_kb:.2f} KB, "
+          f"rd-set {summary.read_set_p90_kb:.2f} KB; "
+          f"{summary.dirs_per_commit_p90:.0f} dirs/commit")
     if args.tape:
         print()
         print(tape_report(system))
@@ -214,7 +215,7 @@ def cmd_scaling(args) -> int:
     for n, result in results.items():
         label = f"{name}@{n}"
         series[label] = result.breakdown_fractions()
-        speedups[label] = speedup(baseline, result)
+        speedups[label] = result.speedup_over(baseline)
     print(format_breakdown_figure(
         f"{name}: scaling (normalized to {counts[0]} CPU(s))", series, speedups
     ))
@@ -321,12 +322,11 @@ def cmd_sweep(args) -> int:
 def cmd_traffic(args) -> int:
     name = _check_app(args.app)
     config = _config_from(args)
-    system = ScalableTCCSystem(config)
-    result = system.run(app_workload(name, scale=args.scale),
-                        verify=not args.no_verify)
+    summary = run_apps([name], config, scale=args.scale,
+                       verify=not args.no_verify)[name]
     print(format_traffic_figure(
         f"{name} @ {config.n_processors} CPUs",
-        {name: result.bytes_per_instruction()},
+        {name: summary.bytes_per_instruction()},
     ))
     return 0
 

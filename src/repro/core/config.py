@@ -23,10 +23,12 @@ from repro.faults.plan import FaultPlan
 class SystemConfig:
     """All architecture knobs for one simulated machine.
 
-    What the paper fixes is not a knob: pages are placed first-touch,
-    the TID vendor sits at node 0 (:data:`repro.core.tid.VENDOR_NODE`),
-    and the hardened protocol and the progress watchdog are on exactly
-    when ``fault_plan`` is set.
+    What the paper fixes is not a knob: pages are placed first-touch in
+    4 KB pages (:data:`repro.memory.address.PAGE_SIZE`), the router,
+    local-delivery and link-bandwidth costs are constants of
+    :mod:`repro.network.interconnect`, the TID vendor sits at node 0
+    (:data:`repro.core.tid.VENDOR_NODE`), and the hardened protocol and
+    the progress watchdog are on exactly when ``fault_plan`` is set.
     """
 
     n_processors: int = 8
@@ -48,9 +50,6 @@ class SystemConfig:
 
     # Interconnect
     link_latency: int = 3
-    router_latency: int = 1
-    local_latency: int = 1
-    link_bytes_per_cycle: Optional[int] = 16
     ordered_network: bool = False
     network_jitter: int = 2
 
@@ -61,8 +60,6 @@ class SystemConfig:
     #: A message touching a line whose directory state is not cached pays
     #: an extra memory access to fetch it (Table 2's "directory cache").
     directory_cache_entries: Optional[int] = None
-    #: First-touch page placement granularity (the paper's only policy).
-    page_size: int = 4096
 
     # Protocol policy
     commit_backend: str = "scalable"  # "scalable" | "token" (small-scale TCC)
@@ -109,7 +106,7 @@ class SystemConfig:
                 f"commit_backend must be 'scalable' or 'token', got {self.commit_backend!r}"
             )
         for name in ("line_size", "word_size", "l1_size", "l1_ways",
-                     "l2_size", "l2_ways", "page_size"):
+                     "l2_size", "l2_ways"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
@@ -120,18 +117,12 @@ class SystemConfig:
         if self.sharer_group_size < 1:
             raise ValueError("sharer group size must be >= 1")
         for name in (
-            "l1_latency", "l2_latency", "link_latency", "router_latency",
-            "local_latency", "directory_latency", "memory_latency",
-            "network_jitter",
+            "l1_latency", "l2_latency", "link_latency", "directory_latency",
+            "memory_latency", "network_jitter",
         ):
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
-        if self.link_bytes_per_cycle is not None and self.link_bytes_per_cycle < 1:
-            raise ValueError(
-                "link_bytes_per_cycle must be None (infinite) or >= 1, "
-                f"got {self.link_bytes_per_cycle}"
-            )
         if self.fault_plan is not None:
             if not isinstance(self.fault_plan, FaultPlan):
                 raise ValueError(

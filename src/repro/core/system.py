@@ -12,11 +12,11 @@ independent oracle judge serializability
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.baseline.token import CommitToken
 from repro.core.config import SystemConfig
+from repro.core.result import SimulationResult
 from repro.core.messages import (
     AbortMsg,
     CommitMsg,
@@ -37,9 +37,8 @@ from repro.faults.watchdog import ProgressWatchdog
 from repro.memory.address import AddressMap, FirstTouchMapping
 from repro.memory.mainmem import MainMemory
 from repro.memory.hierarchy import PrivateHierarchy
-from repro.network.interconnect import Interconnect, TrafficStats
+from repro.network.interconnect import Interconnect
 from repro.processor.core import TCCProcessor
-from repro.processor.stats import ProcessorStats
 from repro.sim import PARK, Engine, Process
 from repro.verify.serializability import CommitRecord, SerializabilityChecker
 from repro.workloads.base import ScheduleItem, Workload
@@ -73,61 +72,6 @@ class SimulationTimeout(RuntimeError):
     """The run hit its cycle bound before every processor finished."""
 
 
-@dataclass
-class SimulationResult:
-    """Everything a benchmark or analysis needs from one run."""
-
-    config: SystemConfig
-    cycles: int
-    proc_stats: List[ProcessorStats]
-    directory_stats: List[Any]
-    traffic: TrafficStats
-    commit_log: List[CommitRecord]
-    memory_image: Dict[int, List[int]]
-    directory_working_sets: List[int]
-    events_executed: int = 0
-    #: Injector/hardening counters (None for plain fault-free runs).
-    fault_stats: Optional[FaultStats] = None
-
-    @property
-    def committed_transactions(self) -> int:
-        return sum(s.committed_transactions for s in self.proc_stats)
-
-    @property
-    def total_violations(self) -> int:
-        return sum(s.violations for s in self.proc_stats)
-
-    @property
-    def committed_instructions(self) -> int:
-        return sum(s.committed_instructions for s in self.proc_stats)
-
-    def breakdown(self) -> Dict[str, int]:
-        """Machine-wide cycle breakdown (summed over processors), with the
-        residual of each processor's timeline counted as idle."""
-        total = {"useful": 0, "miss": 0, "idle": 0, "commit": 0, "violation": 0}
-        for stats in self.proc_stats:
-            for key, value in stats.breakdown().items():
-                total[key] += value
-            # Cycles between a processor finishing and the run ending are
-            # idle time (tail imbalance).
-            total["idle"] += max(0, self.cycles - stats.total_cycles)
-        return total
-
-    def breakdown_fractions(self) -> Dict[str, float]:
-        total_cycles = self.cycles * len(self.proc_stats)
-        if not total_cycles:
-            return {k: 0.0 for k in ("useful", "miss", "idle", "commit", "violation")}
-        return {k: v / total_cycles for k, v in self.breakdown().items()}
-
-    def bytes_per_instruction(self) -> Dict[str, float]:
-        """Figure 9: remote traffic per committed instruction, by class."""
-        instructions = max(1, self.committed_instructions)
-        return {
-            cls: count / instructions
-            for cls, count in self.traffic.bytes_by_class.items()
-        }
-
-
 class ScalableTCCSystem:
     """The full simulated machine."""
 
@@ -139,15 +83,12 @@ class ScalableTCCSystem:
             self.engine,
             config.n_processors,
             link_latency=config.link_latency,
-            router_latency=config.router_latency,
-            local_latency=config.local_latency,
-            link_bytes_per_cycle=config.link_bytes_per_cycle,
             ordered=config.ordered_network,
             jitter=config.network_jitter,
             seed=config.seed,
         )
         self.mapping = FirstTouchMapping(
-            config.n_processors, config.page_size, config.line_size
+            config.n_processors, line_size=config.line_size
         )
         self.vendor = TidVendor()
         if config.event_log:

@@ -15,7 +15,7 @@ any resend), so a quiesced system drains naturally.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Optional, Set
+from typing import Any, Callable, Iterable, Set
 
 #: First resend ``RETRY_TIMEOUT`` cycles after the request; each retry
 #: multiplies the wait by ``RETRY_BACKOFF``, up to ``RETRY_TIMEOUT_CAP``.
@@ -27,31 +27,26 @@ RETRY_TIMEOUT_CAP = 32_000
 class Retrier:
     """Re-send one request until ``done()`` returns True.
 
-    The first check fires ``base_timeout`` cycles after creation; each
-    retry doubles (``backoff``) the wait up to ``cap``.  There is no
+    The first check fires ``RETRY_TIMEOUT`` cycles after creation; each
+    retry multiplies the wait by ``RETRY_BACKOFF``, up to
+    ``RETRY_TIMEOUT_CAP``.  There is no
     retry limit: the non-blocking guarantee wants eventual delivery, and
     the progress watchdog — not a give-up path — owns hang detection.
     """
 
-    __slots__ = ("engine", "resend", "done", "timeout", "backoff", "cap",
-                 "retries", "stats")
+    __slots__ = ("engine", "resend", "done", "timeout", "retries", "stats")
 
     def __init__(
         self,
         engine: Any,
         resend: Callable[[], None],
         done: Callable[[], bool],
-        base_timeout: int = RETRY_TIMEOUT,
-        backoff: int = RETRY_BACKOFF,
-        cap: int = RETRY_TIMEOUT_CAP,
         stats: Any = None,
     ) -> None:
         self.engine = engine
         self.resend = resend
         self.done = done
-        self.timeout = base_timeout
-        self.backoff = backoff
-        self.cap = cap
+        self.timeout = RETRY_TIMEOUT
         self.retries = 0
         self.stats = stats
         engine.schedule_call(self.timeout, self._tick)
@@ -63,7 +58,7 @@ class Retrier:
         self.retries += 1
         if self.stats is not None:
             self.stats.retries += 1
-        self.timeout = min(self.cap, self.timeout * self.backoff)
+        self.timeout = min(RETRY_TIMEOUT_CAP, self.timeout * RETRY_BACKOFF)
         self.engine.schedule_call(self.timeout, self._tick)
 
 
@@ -82,9 +77,6 @@ class AckTracker:
         engine: Any,
         targets: Iterable[int],
         make_send: Callable[[int], None],
-        base_timeout: int = RETRY_TIMEOUT,
-        backoff: int = RETRY_BACKOFF,
-        cap: int = RETRY_TIMEOUT_CAP,
         stats: Any = None,
     ) -> None:
         self.pending: Set[int] = set(targets)
@@ -93,9 +85,7 @@ class AckTracker:
             for node in sorted(self.pending):
                 make_send(node)
 
-        self._retrier = Retrier(
-            engine, resend, self.all_acked, base_timeout, backoff, cap, stats
-        )
+        self._retrier = Retrier(engine, resend, self.all_acked, stats)
 
     def acked(self, node: int) -> None:
         self.pending.discard(node)

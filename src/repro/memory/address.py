@@ -60,6 +60,10 @@ class AddressMap:
             word += 1
 
 
+#: First-touch placement granularity in bytes (the paper's only policy).
+PAGE_SIZE = 4096
+
+
 class FirstTouchMapping:
     """First-touch page placement (the paper's policy).
 
@@ -68,7 +72,8 @@ class FirstTouchMapping:
     fallback so ``home()`` is total.
     """
 
-    def __init__(self, n_nodes: int, page_size: int = 4096, line_size: int = 32) -> None:
+    def __init__(self, n_nodes: int, page_size: int = PAGE_SIZE,
+                 line_size: int = 32) -> None:
         if n_nodes < 1:
             raise ValueError("need at least one node")
         if page_size % line_size:

@@ -45,6 +45,13 @@ Handler = Callable[[Any], None]
 _CLASS_INDEX = {cls: i for i, cls in enumerate(TRAFFIC_CLASSES)}
 _OVERHEAD = _CLASS_INDEX["overhead"]
 
+#: Fixed per-message costs of the simulated machine (not knobs): router
+#: overhead per remote message, delivery within a node, and link bandwidth
+#: in bytes per cycle.
+ROUTER_LATENCY = 1
+LOCAL_LATENCY = 1
+LINK_BYTES_PER_CYCLE = 16
+
 class TrafficStats:
     """Byte counters by class and by receiving node (Figure 9's inputs).
 
@@ -83,9 +90,9 @@ class Interconnect:
         engine: Engine,
         n_nodes: int,
         link_latency: int = 3,
-        router_latency: int = 1,
-        local_latency: int = 1,
-        link_bytes_per_cycle: Optional[int] = 16,
+        router_latency: int = ROUTER_LATENCY,
+        local_latency: int = LOCAL_LATENCY,
+        link_bytes_per_cycle: Optional[int] = LINK_BYTES_PER_CYCLE,
         ordered: bool = False,
         jitter: int = 2,
         seed: int = 0,

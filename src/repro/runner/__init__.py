@@ -12,6 +12,7 @@ warm re-runs of unchanged experiments are near-instant.
 See ``docs/SIMULATOR.md`` ("Parallel execution & result cache").
 """
 
+from repro.core.result import ResultSummary
 from repro.runner.cache import ResultCache, code_fingerprint
 from repro.runner.pool import (
     JobOutcome,
@@ -27,7 +28,6 @@ from repro.runner.spec import (
     build_workload,
     register_workload,
 )
-from repro.runner.summary import ResultSummary
 
 __all__ = [
     "JobOutcome",

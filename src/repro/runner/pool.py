@@ -29,10 +29,10 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import SystemConfig
+from repro.core.result import ResultSummary
 from repro.core.system import ScalableTCCSystem
 from repro.runner.cache import ResultCache
 from repro.runner.spec import JobSpec, build_workload
-from repro.runner.summary import ResultSummary
 
 CacheLike = Union[None, bool, str, ResultCache]
 
@@ -62,7 +62,7 @@ def _execute_sim(spec: JobSpec) -> Dict[str, Any]:
     system = ScalableTCCSystem(config)
     result = system.run(workload, max_cycles=spec.max_cycles,
                         verify=spec.verify)
-    return {"summary": ResultSummary.from_result(result).to_dict()}
+    return {"summary": result.summary().to_dict()}
 
 
 def _timed_job(

@@ -12,7 +12,7 @@ Two job kinds exist:
 
 ``sim``
     Build config + workload, run one system, summarize
-    (:class:`~repro.runner.summary.ResultSummary`).
+    (:class:`~repro.core.result.ResultSummary`).
 ``conform``
     One seeded campaign case (``run_conform_case(make_case(seed,
     **args))``); the seed plus the ``faults`` flag and the ``source``

@@ -49,12 +49,10 @@ def test_report_without_tape_omits_section(run):
 
 def test_commit_phase_cycles_populated(run):
     _, result = run
-    tid = sum(s.commit_tid_cycles for s in result.proc_stats)
-    probe = sum(s.commit_probe_cycles for s in result.proc_stats)
-    ack = sum(s.commit_ack_cycles for s in result.proc_stats)
-    assert tid > 0      # every commit fetches a TID over the network
-    assert probe > 0    # and probes directories
-    assert ack > 0      # and waits for commit acks (write transactions)
+    phases = result.summary().commit_phases
+    assert phases["tid"] > 0    # every commit fetches a TID over the network
+    assert phases["probe"] > 0  # and probes directories
+    assert phases["ack"] > 0    # and waits for commit acks (write transactions)
 
 
 def test_commit_phase_breakdown_accessor(run):

@@ -17,8 +17,6 @@ from repro.faults import FaultPlan, PacketFault
     dict(l1_latency=-1),
     dict(l2_latency=-1),
     dict(link_latency=-1),
-    dict(router_latency=-1),
-    dict(local_latency=-1),
     dict(directory_latency=-1),
     dict(memory_latency=-1),
     dict(network_jitter=-1),
@@ -28,8 +26,6 @@ from repro.faults import FaultPlan, PacketFault
     dict(l1_ways=0),
     dict(l2_size=0),
     dict(l2_ways=0),
-    dict(page_size=0),
-    dict(link_bytes_per_cycle=0),
     dict(watchdog_interval=0),
     dict(watchdog_stall_checks=0),
     dict(fault_plan="lots of drops please"),
@@ -47,7 +43,7 @@ def test_fault_probability_validated_in_the_plan():
 
 def test_zero_latencies_are_legal():
     # zero is a meaningful ablation value; only negatives are nonsense
-    config = SystemConfig(link_latency=0, router_latency=0, network_jitter=0)
+    config = SystemConfig(link_latency=0, network_jitter=0)
     assert config.link_latency == 0
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the fault-injection subsystem (repro.faults)."""
 
+import itertools
+
 import pytest
 
 from repro.core.tid import TidVendor
@@ -13,6 +15,7 @@ from repro.faults import (
     Retrier,
     random_fault_plan,
 )
+from repro.faults.retry import RETRY_BACKOFF, RETRY_TIMEOUT, RETRY_TIMEOUT_CAP
 from repro.sim import Engine
 
 
@@ -247,38 +250,41 @@ def test_retrier_backs_off_exponentially_to_cap():
     engine = Engine()
     sent = []
     done = []
-    Retrier(engine, lambda: sent.append(engine.now), lambda: bool(done),
-            base_timeout=10, backoff=2, cap=40)
-    engine.run(until=120)
-    # ticks at 10 (timeout->20), 30 (->40), 70 (->40 capped), 110
-    assert sent == [10, 30, 70, 110]
+    Retrier(engine, lambda: sent.append(engine.now), lambda: bool(done))
+    waits = [min(RETRY_TIMEOUT_CAP, RETRY_TIMEOUT * RETRY_BACKOFF ** k)
+             for k in range(6)]
+    assert waits[-2:] == [RETRY_TIMEOUT_CAP] * 2  # the schedule reaches the cap
+    ticks = list(itertools.accumulate(waits))
+    engine.run(until=ticks[-1] + 1)
+    assert sent == ticks
+    assert sent[-1] - sent[-2] == RETRY_TIMEOUT_CAP  # capped, not doubled
     done.append(True)
-    engine.run(until=1000)
-    assert sent == [10, 30, 70, 110]  # self-cancelled after done
+    engine.run(until=ticks[-1] + 4 * RETRY_TIMEOUT_CAP)
+    assert sent == ticks  # self-cancelled after done
 
 
 def test_retrier_counts_into_stats():
     engine = Engine()
     stats = FaultStats()
-    Retrier(engine, lambda: None, lambda: False, 10, 2, 80, stats)
-    engine.run(until=200)
-    assert stats.retries > 0
+    Retrier(engine, lambda: None, lambda: False, stats=stats)
+    # resends at RETRY_TIMEOUT and RETRY_TIMEOUT * (1 + RETRY_BACKOFF)
+    engine.run(until=RETRY_TIMEOUT * (1 + RETRY_BACKOFF) + 1)
+    assert stats.retries == 2
 
 
 def test_ack_tracker_resends_only_to_unacked_targets():
     engine = Engine()
     sent = []
     tracker = AckTracker(engine, [1, 2, 3],
-                         lambda node: sent.append((engine.now, node)),
-                         base_timeout=10, backoff=2, cap=40)
+                         lambda node: sent.append((engine.now, node)))
     tracker.acked(1)
-    engine.run(until=15)
-    assert sent == [(10, 2), (10, 3)]
+    engine.run(until=RETRY_TIMEOUT + 1)
+    assert sent == [(RETRY_TIMEOUT, 2), (RETRY_TIMEOUT, 3)]
     tracker.acked(2)
     tracker.acked(3)
     assert tracker.all_acked()
-    engine.run(until=500)
-    assert sent == [(10, 2), (10, 3)]  # no further resends
+    engine.run(until=4 * RETRY_TIMEOUT_CAP)
+    assert sent == [(RETRY_TIMEOUT, 2), (RETRY_TIMEOUT, 3)]  # no further resends
     tracker.acked(7)  # unknown node: harmless
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro import ScalableTCCSystem, SystemConfig, Transaction
 from repro.directory import SkipVector
-from repro.stats import percentile
+from repro.core.result import _percentile as percentile
 from repro.workloads.base import Workload
 
 LINE = 32

@@ -6,13 +6,14 @@ import os
 
 import pytest
 
-from repro import SystemConfig
+from repro import ScalableTCCSystem, SystemConfig
 from repro.analysis.sweep import Sweep
 from repro.conform import make_case, run_conform, run_conform_case
 from repro.runner import (
     JobSpec,
     ResultCache,
     ResultSummary,
+    build_workload,
     code_fingerprint,
     register_workload,
     resolve_jobs,
@@ -255,6 +256,51 @@ class TestResultSummary:
                pytest.approx(1.0, rel=0.01)
         assert set(summary.bytes_per_instruction()) == \
                {"commit", "miss", "writeback", "overhead"}
+
+
+class TestSummaryParity:
+    """A worker derives a run's numbers exactly as ``result.summary()``
+    does in-process, and a cache entry gives them back unchanged."""
+
+    SPECS = [
+        JobSpec(kind="sim", workload="app",
+                workload_args={"name": name, "scale": 0.05},
+                config=SystemConfig(n_processors=4), max_cycles=500_000_000)
+        for name in ("barnes", "volrend")
+    ]
+
+    @staticmethod
+    def in_process(spec):
+        workload = build_workload(spec.workload, spec.config,
+                                  spec.workload_args)
+        result = ScalableTCCSystem(spec.config).run(
+            workload, max_cycles=spec.max_cycles, verify=spec.verify)
+        return result.summary()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_and_cached_summaries_match_in_process(self, jobs,
+                                                          tmp_path):
+        direct = [self.in_process(spec) for spec in self.SPECS]
+        for summary in direct:
+            # The commit phases and the Table 3 row are real numbers here,
+            # so the fingerprints below compare them, not zeros.
+            assert all(summary.commit_phases[p] > 0
+                       for p in ("tid", "probe", "ack"))
+            assert summary.tx_size_p90 > 0
+            assert summary.write_set_p90_kb > 0
+            assert summary.read_set_p90_kb > 0
+            assert summary.ops_per_word_written > 0
+            assert summary.dirs_per_commit_p90 > 0
+            assert summary.working_set_p90_entries > 0
+            assert summary.occupancy_p90_cycles > 0
+        cache = ResultCache(root=str(tmp_path))
+        cold, cold_stats = run_jobs(self.SPECS, jobs=jobs, cache=cache)
+        warm, warm_stats = run_jobs(self.SPECS, jobs=jobs, cache=cache)
+        assert cold_stats.executed == warm_stats.from_cache == len(self.SPECS)
+        expected = [summary.fingerprint() for summary in direct]
+        assert [o.summary().fingerprint() for o in cold] == expected
+        assert [o.summary().fingerprint() for o in warm] == expected
+        assert [o.summary() for o in warm] == direct
 
 
 class TestSweepRunner:

@@ -1,4 +1,4 @@
-"""Unit tests for the stats and analysis layers."""
+"""Unit tests for a run's derived numbers and the analysis layer."""
 
 import pytest
 
@@ -7,10 +7,10 @@ from repro.analysis import (
     format_breakdown_figure,
     format_table,
     format_traffic_figure,
-    run_app,
+    run_apps,
     run_scaling,
 )
-from repro.stats import characteristics, percentile, speedup
+from repro.core.result import _percentile as percentile
 from repro.workloads import CounterWorkload, PrivateWorkload
 
 
@@ -49,11 +49,11 @@ class TestResultAccessors:
         assert sum(breakdown.values()) == pytest.approx(total, rel=0.01)
 
     def test_breakdown_fractions_sum_to_one(self, small_run):
-        fractions = small_run.breakdown_fractions()
+        fractions = small_run.summary().breakdown_fractions()
         assert sum(fractions.values()) == pytest.approx(1.0, rel=0.01)
 
     def test_bytes_per_instruction_positive(self, small_run):
-        bpi = small_run.bytes_per_instruction()
+        bpi = small_run.summary().bytes_per_instruction()
         assert set(bpi) == {"commit", "miss", "writeback", "overhead"}
         assert all(v >= 0 for v in bpi.values())
         assert sum(bpi.values()) > 0
@@ -65,8 +65,7 @@ class TestResultAccessors:
 
 class TestCharacteristics:
     def test_table3_row_extraction(self, small_run):
-        row = characteristics("counters", small_run)
-        assert row.name == "counters"
+        row = small_run.summary()
         assert row.n_processors == 4
         assert row.tx_size_p90 > 0
         assert row.write_set_p90_kb > 0
@@ -74,12 +73,13 @@ class TestCharacteristics:
         assert row.ops_per_word_written > 0
         assert 1 <= row.dirs_per_commit_p90 <= 4
         assert row.occupancy_p90_cycles > 0
-        assert len(row.row()) == 8
+        assert row.working_set_p90_entries > 0
 
 
 class TestSpeedup:
     def test_speedup_of_identical_runs_is_one(self, small_run):
-        assert speedup(small_run, small_run) == 1.0
+        summary = small_run.summary()
+        assert summary.speedup_over(summary) == 1.0
 
     def test_parallel_speedup_positive(self):
         results = {}
@@ -89,7 +89,7 @@ class TestSpeedup:
                 PrivateWorkload(tx_per_proc=16 // n, compute=500),
                 max_cycles=50_000_000,
             )
-        assert speedup(results[1], results[4]) > 1.5
+        assert results[4].summary().speedup_over(results[1].summary()) > 1.5
 
 
 class TestFormatting:
@@ -120,8 +120,9 @@ class TestFormatting:
 
 class TestExperimentDrivers:
     def test_run_app_small(self):
-        result = run_app("barnes", SystemConfig(n_processors=2), scale=0.05)
-        assert result.committed_transactions > 0
+        results = run_apps(["barnes"], SystemConfig(n_processors=2), scale=0.05)
+        assert list(results) == ["barnes"]
+        assert results["barnes"].committed_transactions > 0
 
     def test_run_scaling_returns_per_count(self):
         results = run_scaling("barnes", [1, 2], scale=0.05)
