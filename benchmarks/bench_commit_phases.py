@@ -11,7 +11,7 @@ paper's characterization of the commit-bound applications.
 from runner_env import bench_cache, bench_jobs
 
 from repro import SystemConfig
-from repro.analysis import format_table, run_apps
+from repro.analysis import format_table, run_points
 
 N = 32
 SCALE = 0.5
@@ -22,8 +22,9 @@ def _collect():
     # Five of Table 3's specs: with the cache on, one artefact's runs
     # serve the other's.
     config = SystemConfig(n_processors=N)
-    return run_apps(APPS, config, scale=SCALE,
-                    jobs=bench_jobs(), cache=bench_cache())
+    results, _ = run_points({app: (app, config) for app in APPS},
+                            scale=SCALE, jobs=bench_jobs(), cache=bench_cache())
+    return results
 
 
 def test_bench_commit_phases(benchmark, save_artifact):

@@ -9,15 +9,16 @@ are no violations, so time splits between useful work, cache misses, and
 from runner_env import bench_cache, bench_jobs
 
 from repro import APP_PROFILES, SystemConfig
-from repro.analysis import format_breakdown_figure, run_apps
+from repro.analysis import format_breakdown_figure, run_points
 
 SCALE = 0.5
 
 
 def _collect():
     config = SystemConfig(n_processors=1)
-    return run_apps(APP_PROFILES, config, scale=SCALE,
-                    jobs=bench_jobs(), cache=bench_cache())
+    results, _ = run_points({app: (app, config) for app in APP_PROFILES},
+                            scale=SCALE, jobs=bench_jobs(), cache=bench_cache())
+    return results
 
 
 def test_bench_fig6(benchmark, save_artifact):

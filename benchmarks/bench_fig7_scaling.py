@@ -16,19 +16,22 @@ roughly 11-32 and 64-CPU speedups of roughly 16-57):
 
 from runner_env import bench_cache, bench_jobs
 
-from repro import APP_PROFILES
-from repro.analysis import format_breakdown_figure, run_scaling
+from repro import APP_PROFILES, SystemConfig
+from repro.analysis import format_breakdown_figure, run_points
 
 COUNTS = (1, 8, 16, 32, 64)
 SCALE = 1.0
 
 
 def _collect():
-    jobs, cache = bench_jobs(), bench_cache()
-    return {
-        app: run_scaling(app, COUNTS, scale=SCALE, jobs=jobs, cache=cache)
-        for app in APP_PROFILES
-    }
+    # One grid over every (app, count): the pool is never left waiting
+    # on one app's 64-CPU run while the next app's jobs could start.
+    results, _ = run_points(
+        {(app, n): (app, SystemConfig(n_processors=n))
+         for app in APP_PROFILES for n in COUNTS},
+        scale=SCALE, jobs=bench_jobs(), cache=bench_cache(),
+    )
+    return {app: {n: results[app, n] for n in COUNTS} for app in APP_PROFILES}
 
 
 def test_bench_fig7(benchmark, save_artifact):

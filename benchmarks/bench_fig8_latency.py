@@ -9,7 +9,8 @@ almost no degradation.
 
 from runner_env import bench_cache, bench_jobs
 
-from repro.analysis import format_table, run_latency_sweep
+from repro import SystemConfig
+from repro.analysis import format_table, run_points
 
 LATENCIES = (1, 3, 6, 8)
 N_PROCESSORS = 64
@@ -18,12 +19,13 @@ APPS = ("equake", "volrend", "barnes", "specjbb2000", "swim")
 
 
 def _collect():
-    jobs, cache = bench_jobs(), bench_cache()
-    return {
-        app: run_latency_sweep(app, LATENCIES, n_processors=N_PROCESSORS,
-                               scale=SCALE, jobs=jobs, cache=cache)
-        for app in APPS
-    }
+    results, _ = run_points(
+        {(app, lat): (app, SystemConfig(n_processors=N_PROCESSORS,
+                                        link_latency=lat))
+         for app in APPS for lat in LATENCIES},
+        scale=SCALE, jobs=bench_jobs(), cache=bench_cache(),
+    )
+    return {app: {lat: results[app, lat] for lat in LATENCIES} for app in APPS}
 
 
 def test_bench_fig8(benchmark, save_artifact):

@@ -10,7 +10,7 @@ ops-per-word-written ratio yield low overhead.  With 64 processors at
 from runner_env import bench_cache, bench_jobs
 
 from repro import APP_PROFILES, SystemConfig
-from repro.analysis import format_traffic_figure, run_apps
+from repro.analysis import format_traffic_figure, run_points
 
 N_PROCESSORS = 64
 SCALE = 1.0
@@ -18,8 +18,9 @@ SCALE = 1.0
 
 def _collect():
     config = SystemConfig(n_processors=N_PROCESSORS)
-    return run_apps(APP_PROFILES, config, scale=SCALE,
-                    jobs=bench_jobs(), cache=bench_cache())
+    results, _ = run_points({app: (app, config) for app in APP_PROFILES},
+                            scale=SCALE, jobs=bench_jobs(), cache=bench_cache())
+    return results
 
 
 def test_bench_fig9(benchmark, save_artifact):

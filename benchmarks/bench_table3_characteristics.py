@@ -18,7 +18,7 @@ execution time.
 from runner_env import bench_cache, bench_jobs
 
 from repro import APP_PROFILES, SystemConfig
-from repro.analysis import format_table, run_apps
+from repro.analysis import format_table, run_points
 
 N_PROCESSORS = 32
 SCALE = 0.5
@@ -37,8 +37,9 @@ HEADERS = [
 
 def _collect():
     config = SystemConfig(n_processors=N_PROCESSORS)
-    return run_apps(APP_PROFILES, config, scale=SCALE,
-                    jobs=bench_jobs(), cache=bench_cache())
+    results, _ = run_points({app: (app, config) for app in APP_PROFILES},
+                            scale=SCALE, jobs=bench_jobs(), cache=bench_cache())
+    return results
 
 
 def _cells(app, row):

@@ -9,7 +9,8 @@ to 8 cycles/hop while SPECjbb2000 and swim barely notice.
 Run:  python examples/latency_sensitivity.py
 """
 
-from repro.analysis import run_latency_sweep
+from repro import SystemConfig
+from repro.analysis import run_points
 
 LATENCIES = (1, 3, 6, 8)
 N_PROCESSORS = 32
@@ -18,8 +19,11 @@ N_PROCESSORS = 32
 def main() -> None:
     for app in ("equake", "specjbb2000"):
         print(f"{app} @ {N_PROCESSORS} CPUs:")
-        results = run_latency_sweep(
-            app, LATENCIES, n_processors=N_PROCESSORS, scale=0.5
+        results, _ = run_points(
+            {lat: (app, SystemConfig(n_processors=N_PROCESSORS,
+                                     link_latency=lat))
+             for lat in LATENCIES},
+            scale=0.5,
         )
         base = results[LATENCIES[0]].cycles
         for latency, result in results.items():

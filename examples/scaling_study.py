@@ -12,8 +12,8 @@ name as an argument to explore the suite, e.g.:
 
 import sys
 
-from repro import APP_PROFILES
-from repro.analysis import format_breakdown_figure, run_scaling
+from repro import APP_PROFILES, SystemConfig
+from repro.analysis import format_breakdown_figure, run_points
 
 
 def main() -> None:
@@ -23,7 +23,9 @@ def main() -> None:
 
     counts = (1, 8, 16, 32)
     print(f"Running {app} at {counts} processors (fixed total work)...")
-    results = run_scaling(app, counts, scale=0.5)
+    results, _ = run_points(
+        {n: (app, SystemConfig(n_processors=n)) for n in counts}, scale=0.5
+    )
 
     series = {}
     speedups = {}

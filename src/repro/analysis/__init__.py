@@ -11,22 +11,13 @@ from repro.analysis.tables import (
     format_table,
     format_traffic_figure,
 )
-from repro.analysis.experiments import (
-    run_apps,
-    run_latency_sweep,
-    run_scaling,
-)
+from repro.analysis.experiments import run_points
 from repro.analysis.report import render_report
-from repro.analysis.sweep import Sweep, SweepPoint
 
 __all__ = [
-    "Sweep",
-    "SweepPoint",
     "format_breakdown_figure",
     "format_table",
     "format_traffic_figure",
     "render_report",
-    "run_apps",
-    "run_latency_sweep",
-    "run_scaling",
+    "run_points",
 ]

@@ -1,106 +1,65 @@
-"""Experiment drivers shared by the benchmark harness and examples.
+"""The experiment driver shared by the benchmark harness, CLI and examples.
 
-Each driver describes every run as a :class:`~repro.runner.JobSpec` (a
-system runs exactly one workload, so every configuration is a fresh
-job) and returns results keyed the way the corresponding paper artefact
-needs them.
+Every paper artefact is a grid over the application profiles: Fig. 6,
+Fig. 9 and Table 3 vary the app, Fig. 7 the processor count, Fig. 8 the
+cycles per hop, and ``repro sweep`` any :class:`SystemConfig` fields.
+:func:`run_points` takes such a grid as a mapping from a caller-chosen
+key to an ``(app, config)`` point, describes each point as a
+:class:`~repro.runner.JobSpec` (a system runs exactly one workload, so
+every point is a fresh job) and resolves them all in one
+:func:`~repro.runner.run_jobs` call.
 
-``run_apps``, ``run_scaling`` and ``run_latency_sweep`` accept ``jobs``
-and ``cache`` and always route through the :mod:`repro.runner` process
-pool: with ``jobs=1`` (the default) points execute in-process
-sequentially, with ``jobs > 1`` they run concurrently across worker
-processes, and ``cache`` memoizes their summaries in the
-content-addressed result cache.  They return
-:class:`~repro.runner.ResultSummary` objects — every number a figure or
-table reads (``cycles``, ``breakdown_fractions()``,
-``bytes_per_instruction()``, ``commit_phases``, the Table 3 row, …) —
-bit-identical at any jobs/cache setting.
+With ``jobs=1`` (the default) points execute in-process sequentially,
+with ``jobs > 1`` they run concurrently across worker processes, and
+``cache`` memoizes their summaries in the content-addressed result
+cache.  The :class:`~repro.runner.ResultSummary` objects that come back
+— every number a figure or table reads (``cycles``,
+``breakdown_fractions()``, ``bytes_per_instruction()``,
+``commit_phases``, the Table 3 row, …) — are bit-identical at any
+jobs/cache setting.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Hashable, Mapping, Optional, Tuple, TypeVar
 
 from repro.core.config import SystemConfig
-from repro.runner import JobSpec, ResultSummary, run_jobs
+from repro.runner import JobSpec, ResultSummary, RunnerStats, run_jobs
 from repro.runner.pool import CacheLike
 
 #: Safety bound: no single experiment may exceed this many cycles.
 MAX_CYCLES = 5_000_000_000
 
-
-def _app_spec(name: str, config: SystemConfig, scale: float,
-              verify: bool) -> JobSpec:
-    return JobSpec(
-        kind="sim",
-        workload="app",
-        workload_args={"name": name, "scale": scale},
-        config=config,
-        max_cycles=MAX_CYCLES,
-        verify=verify,
-        label=f"{name}@{config.n_processors}",
-    )
+K = TypeVar("K", bound=Hashable)
 
 
-def _run_app_specs(specs: List[JobSpec], jobs: Optional[int],
-                   cache: CacheLike) -> List[ResultSummary]:
-    outcomes, _ = run_jobs(specs, jobs=jobs, cache=cache)
-    for outcome in outcomes:
-        if not outcome.ok:
-            raise RuntimeError(
-                f"experiment job {outcome.spec.describe()} failed: "
-                f"{outcome.error}"
-            )
-    return [outcome.summary() for outcome in outcomes]
-
-
-def run_apps(
-    names: Iterable[str],
-    config: SystemConfig,
+def run_points(
+    points: Mapping[K, Tuple[str, SystemConfig]],
     scale: float = 1.0,
     verify: bool = True,
     jobs: Optional[int] = 1,
     cache: CacheLike = None,
-) -> Dict[str, ResultSummary]:
-    """Several applications on one configuration (Figures 6 and 9)."""
-    names = list(names)
-    specs = [_app_spec(name, config, scale, verify) for name in names]
-    return dict(zip(names, _run_app_specs(specs, jobs, cache)))
+) -> Tuple[Dict[K, ResultSummary], RunnerStats]:
+    """Run every ``key -> (app, config)`` point of a grid.
 
-
-def run_scaling(
-    name: str,
-    processor_counts: Iterable[int],
-    base_config: Optional[SystemConfig] = None,
-    scale: float = 1.0,
-    verify: bool = True,
-    jobs: Optional[int] = 1,
-    cache: CacheLike = None,
-) -> Dict[int, ResultSummary]:
-    """Figure 7: the same total work across processor counts."""
-    base = base_config or SystemConfig()
-    counts = list(processor_counts)
+    Returns the summaries keyed like ``points`` (in its order) and the
+    runner's accounting.  A failed point raises ``RuntimeError`` naming
+    its key.
+    """
     specs = [
-        _app_spec(name, base.scaled_to(n), scale, verify) for n in counts
+        JobSpec(
+            kind="sim",
+            workload="app",
+            workload_args={"name": name, "scale": scale},
+            config=config,
+            max_cycles=MAX_CYCLES,
+            verify=verify,
+            label=f"point {key!r} ({name}@{config.n_processors})",
+        )
+        for key, (name, config) in points.items()
     ]
-    return dict(zip(counts, _run_app_specs(specs, jobs, cache)))
-
-
-def run_latency_sweep(
-    name: str,
-    link_latencies: Iterable[int],
-    n_processors: int = 64,
-    base_config: Optional[SystemConfig] = None,
-    scale: float = 1.0,
-    verify: bool = True,
-    jobs: Optional[int] = 1,
-    cache: CacheLike = None,
-) -> Dict[int, ResultSummary]:
-    """Figure 8: the impact of cycles-per-hop at a fixed processor count."""
-    base = (base_config or SystemConfig()).scaled_to(n_processors)
-    latencies = list(link_latencies)
-    specs = [
-        _app_spec(name, base.with_link_latency(latency), scale, verify)
-        for latency in latencies
-    ]
-    return dict(zip(latencies, _run_app_specs(specs, jobs, cache)))
+    outcomes, stats = run_jobs(specs, jobs=jobs, cache=cache)
+    summaries = {
+        key: outcome.summary() for key, outcome in zip(points, outcomes)
+    }
+    return summaries, stats

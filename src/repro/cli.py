@@ -11,7 +11,7 @@ Usage (also ``python -m repro <command>``):
     python -m repro sweep barnes --grid link_latency=1,3,8 --jobs 4
     python -m repro conform --cases 500 --seed 0 [--faults] [--jobs 4]
     python -m repro conform --quick --source patterns --faults --no-cache
-    python -m repro lint [--format json] [--baseline FILE]
+    python -m repro lint [--format json] [--out FILE]
 
 ``run --tape``, ``--report`` and ``--timeline`` switch the event log
 on (``SystemConfig.event_log``): the TAPE violation profile and the
@@ -32,18 +32,21 @@ underlying traceback.
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
+import difflib
+import itertools
 import sys
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro import APP_PROFILES, ScalableTCCSystem, SystemConfig, app_workload
 from repro.analysis import (
     format_breakdown_figure,
     format_table,
     format_traffic_figure,
-    run_apps,
-    run_latency_sweep,
-    run_scaling,
+    run_points,
 )
+from repro.core.result import ResultSummary
 from repro.tracing import render_timeline, tape_report
 
 
@@ -160,8 +163,6 @@ def cmd_run(args) -> int:
     name = _check_app(args.app)
     config = _config_from(args)
     if args.timeline or args.tape or args.report:
-        import dataclasses
-
         config = dataclasses.replace(config, event_log=True)
     system = ScalableTCCSystem(config)
     result = system.run(
@@ -206,9 +207,12 @@ def cmd_run(args) -> int:
 def cmd_scaling(args) -> int:
     name = _check_app(args.app)
     counts = args.counts
-    base = _config_from(args).scaled_to(counts[0])
-    results = run_scaling(name, counts, base_config=base, scale=args.scale,
-                          verify=not args.no_verify)
+    config = _config_from(args)
+    results, _ = run_points(
+        {n: (name, dataclasses.replace(config, n_processors=n))
+         for n in counts},
+        scale=args.scale, verify=not args.no_verify,
+    )
     series = {}
     speedups = {}
     baseline = results[counts[0]]
@@ -224,10 +228,11 @@ def cmd_scaling(args) -> int:
 
 def cmd_latency(args) -> int:
     name = _check_app(args.app)
-    results = run_latency_sweep(
-        name, args.hops, n_processors=args.processors,
-        base_config=_config_from(args), scale=args.scale,
-        verify=not args.no_verify,
+    config = _config_from(args)
+    results, _ = run_points(
+        {lat: (name, dataclasses.replace(config, link_latency=lat))
+         for lat in args.hops},
+        scale=args.scale, verify=not args.no_verify,
     )
     base = results[args.hops[0]].cycles
     rows = [
@@ -268,15 +273,10 @@ def cmd_conform(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    from repro.lint import Baseline, run_lint
+    from repro.lint import run_lint
     from repro.lint.report import format_json, format_text
 
-    result = run_lint(root=args.root, baseline_path=args.baseline)
-    if args.write_baseline:
-        Baseline.from_findings(result.findings).save(args.write_baseline)
-        print(f"baseline with {len(result.findings)} finding(s) "
-              f"written to {args.write_baseline}")
-        return 0
+    result = run_lint(root=args.root)
     text = (format_json(result).rstrip("\n") if args.format == "json"
             else format_text(result, verbose=args.verbose))
     print(text)
@@ -287,34 +287,67 @@ def cmd_lint(args) -> int:
     return 0 if result.ok else 1
 
 
-def cmd_sweep(args) -> int:
-    from repro.analysis.sweep import Sweep
+_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(SystemConfig))
 
+
+def _sweep_row(overrides: Dict[str, Any],
+               result: ResultSummary) -> Dict[str, Any]:
+    """One grid point's overrides and the numbers a sweep reports."""
+    fractions = result.breakdown_fractions()
+    return {
+        **overrides,
+        "cycles": result.cycles,
+        "commits": result.committed_transactions,
+        "violations": result.total_violations,
+        "useful_frac": round(fractions["useful"], 4),
+        "commit_frac": round(fractions["commit"], 4),
+        "violation_frac": round(fractions["violation"], 4),
+        "bytes_per_instr": round(sum(result.bytes_per_instruction().values()), 4),
+    }
+
+
+def cmd_sweep(args) -> int:
     name = _check_app(args.app)
-    grid = {}
-    for key, values in args.grid or []:
-        grid[key] = values
+    grid = dict(args.grid or [])
     if not grid:
         raise SystemExit(
             "sweep: need at least one --grid field=v1,v2,... axis "
             "(e.g. --grid link_latency=1,3,8)"
         )
-    sweep = Sweep(
-        _config_from(args),
-        grid,
-        ("app", {"name": name, "scale": args.scale}),
-        verify=not args.no_verify,
+    # Reject unknown fields before anything runs, instead of the opaque
+    # TypeError dataclasses.replace would raise.
+    for key in grid:
+        if key not in _CONFIG_FIELDS:
+            hint = difflib.get_close_matches(key, _CONFIG_FIELDS, n=1)
+            suggestion = f" (did you mean {hint[0]!r}?)" if hint else ""
+            raise ValueError(
+                f"sweep override {key!r} is not a SystemConfig field{suggestion}"
+            )
+    config = _config_from(args)
+    combos = {
+        values: dict(zip(grid, values))
+        for values in itertools.product(*grid.values())
+    }
+    results, stats = run_points(
+        {values: (name, dataclasses.replace(config, **overrides))
+         for values, overrides in combos.items()},
+        scale=args.scale, verify=not args.no_verify,
+        jobs=args.jobs, cache=_cache_from(args),
     )
-    sweep.run(jobs=args.jobs, cache=_cache_from(args))
-    print(sweep.as_table())
-    print(sweep.last_run_stats.describe())
+    rows = [_sweep_row(combos[values], result)
+            for values, result in results.items()]
+    headers = list(rows[0])
+    print(format_table(headers, [[str(row[h]) for h in headers] for row in rows]))
+    print(stats.describe())
     if args.best:
-        best = sweep.best(args.best)
-        print(f"best {args.best}: {best.overrides} "
-              f"({args.best}={best.row()[args.best]})")
+        best = min(rows, key=lambda row: row[args.best])
+        overrides = {key: best[key] for key in grid}
+        print(f"best {args.best}: {overrides} ({args.best}={best[args.best]})")
     if args.csv:
         with open(args.csv, "w") as handle:
-            handle.write(sweep.as_csv())
+            writer = csv.DictWriter(handle, fieldnames=headers)
+            writer.writeheader()
+            writer.writerows(rows)
         print(f"csv written to {args.csv}")
     return 0
 
@@ -322,11 +355,11 @@ def cmd_sweep(args) -> int:
 def cmd_traffic(args) -> int:
     name = _check_app(args.app)
     config = _config_from(args)
-    summary = run_apps([name], config, scale=args.scale,
-                       verify=not args.no_verify)[name]
+    results, _ = run_points({name: (name, config)}, scale=args.scale,
+                            verify=not args.no_verify)
     print(format_traffic_figure(
         f"{name} @ {config.n_processors} CPUs",
-        {name: summary.bytes_per_instruction()},
+        {name: results[name].bytes_per_instruction()},
     ))
     return 0
 
@@ -439,17 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--format", choices=["text", "json"], default="text",
                    help="report format (default text)")
-    p.add_argument("--baseline", metavar="FILE", default=None,
-                   help="JSON baseline of grandfathered findings")
-    p.add_argument("--write-baseline", metavar="FILE", default=None,
-                   help="write the current findings as a baseline and exit 0")
     p.add_argument("--root", metavar="DIR", default=None,
                    help="package directory to lint "
                         "(default: the installed repro package)")
     p.add_argument("--out", metavar="FILE", default=None,
                    help="also write the JSON report to FILE")
     p.add_argument("--verbose", action="store_true",
-                   help="also list suppressed and baselined findings")
+                   help="also list suppressed findings")
     p.set_defaults(func=cmd_lint)
 
     return parser

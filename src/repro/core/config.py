@@ -13,7 +13,7 @@ Defaults reproduce the paper's simulated machine:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.faults.plan import FaultPlan
@@ -152,14 +152,6 @@ class SystemConfig:
     @property
     def words_per_line(self) -> int:
         return self.line_size // self.word_size
-
-    def scaled_to(self, n_processors: int) -> "SystemConfig":
-        """The same machine with a different processor count."""
-        return replace(self, n_processors=n_processors)
-
-    def with_link_latency(self, link_latency: int) -> "SystemConfig":
-        """The same machine with a different cycles-per-hop (Figure 8)."""
-        return replace(self, link_latency=link_latency)
 
     def describe(self) -> str:
         """Human-readable Table 2-style summary."""

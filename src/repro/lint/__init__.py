@@ -24,20 +24,17 @@ them *statically*, before a campaign seed ever has to find a violation:
   exactly one handler, senders are the declared senders, and every
   commit-critical send site sits under a retry/backoff wrapper.
 
-Findings can be silenced inline (``# repro: allow[rule-id] reason`` —
-the reason is mandatory) or grandfathered in a checked-in baseline file
-(:mod:`repro.lint.baseline`).  ``python -m repro lint`` is the CLI;
+Findings are silenced only inline (``# repro: allow[rule-id] reason``
+— the reason is mandatory).  ``python -m repro lint`` is the CLI;
 ``.github/workflows/ci.yml`` runs it as a gating job.
 """
 
-from repro.lint.baseline import Baseline
 from repro.lint.classify import classify_modules
 from repro.lint.finding import Finding, LintResult
 from repro.lint.loader import Module, load_source, load_tree
 from repro.lint.runner import default_root, lint_modules, run_lint
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintResult",
     "Module",

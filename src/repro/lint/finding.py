@@ -19,10 +19,6 @@ class Finding:
     def sort_key(self):
         return (self.path, self.line, self.rule, self.message)
 
-    def identity(self):
-        """Baseline identity: stable across pure line-number drift."""
-        return (self.rule, self.path, self.message)
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "rule": self.rule,
@@ -40,13 +36,12 @@ class Finding:
 class LintResult:
     """Everything one lint run produced.
 
-    ``findings`` are the *active* findings — not suppressed inline, not
-    grandfathered by the baseline — and alone decide the exit status.
+    ``findings`` are the *active* findings — the ones not suppressed
+    inline — and alone decide the exit status.
     """
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     modules_scanned: int = 0
     sim_path_modules: List[str] = field(default_factory=list)
     rules_run: List[str] = field(default_factory=list)
@@ -63,5 +58,4 @@ class LintResult:
             "sim_path_modules": list(self.sim_path_modules),
             "findings": [f.as_dict() for f in self.findings],
             "suppressed": [f.as_dict() for f in self.suppressed],
-            "baselined": [f.as_dict() for f in self.baselined],
         }

@@ -14,17 +14,12 @@ def format_text(result: LintResult, verbose: bool = False) -> str:
             f"{finding.render()} [suppressed]"
             for finding in result.suppressed
         )
-        lines.extend(
-            f"{finding.render()} [baseline]"
-            for finding in result.baselined
-        )
     status = "clean" if result.ok else f"{len(result.findings)} finding(s)"
     lines.append(
         f"repro lint: {status} — {result.modules_scanned} modules scanned "
         f"({len(result.sim_path_modules)} sim-path), "
         f"{len(result.rules_run)} rules, "
-        f"{len(result.suppressed)} suppressed, "
-        f"{len(result.baselined)} baselined"
+        f"{len(result.suppressed)} suppressed"
     )
     return "\n".join(lines)
 

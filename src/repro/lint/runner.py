@@ -1,5 +1,5 @@
-"""Run every registered rule over a module tree and fold in
-suppressions and the baseline."""
+"""Run every registered rule over a module tree and fold in inline
+suppressions."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import os
 from typing import Dict, List, Optional
 
 from repro.lint.base import all_rules
-from repro.lint.baseline import Baseline
 from repro.lint.classify import classify_modules, sim_modules
 from repro.lint.finding import Finding, LintResult
 from repro.lint.loader import Module, load_tree
@@ -23,8 +22,7 @@ def default_root() -> str:
     return os.path.dirname(os.path.abspath(repro.__file__))
 
 
-def lint_modules(modules: Dict[str, Module],
-                 baseline: Optional[Baseline] = None) -> LintResult:
+def lint_modules(modules: Dict[str, Module]) -> LintResult:
     """Lint an already-loaded module dict (fixtures use this directly)."""
     classify_modules(modules)
     rules = all_rules()
@@ -60,16 +58,11 @@ def lint_modules(modules: Dict[str, Module],
             and module.suppressions.matches(finding.rule, finding.line)
         ):
             result.suppressed.append(finding)
-        elif baseline is not None and baseline.matches(finding):
-            result.baselined.append(finding)
         else:
             result.findings.append(finding)
     return result
 
 
-def run_lint(root: Optional[str] = None,
-             baseline_path: Optional[str] = None) -> LintResult:
+def run_lint(root: Optional[str] = None) -> LintResult:
     """Load ``root`` (default: the installed package) and lint it."""
-    modules = load_tree(root or default_root())
-    baseline = Baseline.load(baseline_path) if baseline_path else None
-    return lint_modules(modules, baseline=baseline)
+    return lint_modules(load_tree(root or default_root()))

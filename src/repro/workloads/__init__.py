@@ -27,13 +27,11 @@ from repro.workloads.micro import (
 )
 from repro.workloads.tm_patterns import (
     ListSetWorkload,
-    MatrixTileWorkload,
     QueueWorkload,
 )
 
 __all__ = [
     "ListSetWorkload",
-    "MatrixTileWorkload",
     "QueueWorkload",
     "APP_PROFILES",
     "BARRIER",

@@ -12,10 +12,6 @@ with, expressed as address traces over flat memory layouts:
   enqueues contend on the tail, dequeues on the head; the two ends
   conflict only when the queue is short.  Head/tail live on separate
   lines so word granularity keeps the ends independent.
-* :class:`MatrixTileWorkload` — block-partitioned matrix update with
-  halo reads: each processor owns tiles but reads neighbour edges, a
-  stencil-style scientific pattern (mostly-private with structured
-  boundary sharing).
 
 All addresses are deterministic per (seed, processor), so every run is
 replay-verifiable like the rest of the suite.
@@ -26,7 +22,7 @@ from __future__ import annotations
 import random
 from typing import Iterator, List
 
-from repro.workloads.base import BARRIER, Transaction, Workload
+from repro.workloads.base import Transaction, Workload
 
 LINE = 32
 PAGE = 4096
@@ -142,47 +138,3 @@ class QueueWorkload(Workload):
                 ]
                 label = "dequeue"
             yield Transaction(proc * 100_000 + i, ops, label=label)
-
-
-class MatrixTileWorkload(Workload):
-    """Stencil-style tile updates with neighbour-halo reads.
-
-    Processor p owns tile p (a page of lines).  Each step it reads its
-    own tile plus the first line of each neighbour's tile (the halo),
-    then rewrites its own tile — mostly private, with read-only
-    boundary sharing that generates sharers but no conflicts.  Barriers
-    separate the steps, as in the SPLASH/SPEC kernels.
-    """
-
-    name = "matrix-tiles"
-
-    def __init__(
-        self,
-        steps: int = 3,
-        lines_per_tile: int = 8,
-        compute_per_line: int = 50,
-        base_addr: int = 1 << 30,
-    ) -> None:
-        self.steps = steps
-        self.lines_per_tile = lines_per_tile
-        self.compute_per_line = compute_per_line
-        self.base_addr = base_addr
-
-    def tile_addr(self, proc: int, line: int) -> int:
-        return self.base_addr + proc * PAGE + line * LINE
-
-    def schedule(self, proc: int, n_procs: int) -> Iterator:
-        left = (proc - 1) % n_procs
-        right = (proc + 1) % n_procs
-        for step in range(self.steps):
-            ops: List = []
-            ops.append(("ld", self.tile_addr(left, 0)))    # halo reads
-            ops.append(("ld", self.tile_addr(right, 0)))
-            for line in range(self.lines_per_tile):
-                ops.append(("ld", self.tile_addr(proc, line)))
-                ops.append(("c", self.compute_per_line))
-                ops.append(("st", self.tile_addr(proc, line), step * 100 + line))
-            yield Transaction(
-                proc * 100_000 + step, ops, label=f"step{step}"
-            )
-            yield BARRIER

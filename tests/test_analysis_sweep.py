@@ -1,52 +1,44 @@
-"""Tests for the sweep utility."""
+"""Tests for ``repro sweep``: a Cartesian grid of config overrides over
+one application, rendered as a table, a best point and a CSV file."""
 
-import pytest
+from repro.cli import main
 
-from repro import SystemConfig
-from repro.analysis.sweep import Sweep
+BASE = ["sweep", "barnes", "-n", "2", "--scale", "0.05", "--jobs", "1",
+        "--no-cache"]
+
+
+def sweep(capsys, tmp_path, *argv):
+    """Run the sweep command; returns (stdout, csv rows as dicts)."""
+    csv_path = tmp_path / "sweep.csv"
+    assert main(BASE + list(argv) + ["--csv", str(csv_path)]) == 0
+    out = capsys.readouterr().out
+    header, *lines = csv_path.read_text().splitlines()
+    keys = header.split(",")
+    return out, [dict(zip(keys, line.split(","))) for line in lines]
 
 
 class TestSweep:
-    def make_sweep(self, grid):
-        return Sweep(
-            SystemConfig(n_processors=2, ordered_network=True),
-            grid,
-            ("app", {"name": "barnes", "scale": 0.05}),
-            max_cycles=500_000_000,
-        )
+    def test_grid_size(self, capsys, tmp_path):
+        out, rows = sweep(capsys, tmp_path, "--grid", "link_latency=1,3",
+                          "--grid", "granularity=word,line")
+        assert len(rows) == 4
+        assert "runner: 4 job(s)" in out
 
-    def test_grid_size(self):
-        sweep = self.make_sweep(
-            {"link_latency": [1, 3], "granularity": ["word", "line"]}
-        )
-        assert len(sweep) == 4
-
-    def test_run_collects_all_points(self):
-        sweep = self.make_sweep({"link_latency": [1, 6]})
-        points = sweep.run()
-        assert len(points) == 2
-        assert points[0].overrides == {"link_latency": 1}
-        assert points[1].overrides == {"link_latency": 6}
+    def test_run_collects_all_points(self, capsys, tmp_path):
+        _, rows = sweep(capsys, tmp_path, "--grid", "link_latency=1,6")
+        assert [row["link_latency"] for row in rows] == ["1", "6"]
         # higher link latency never speeds things up
-        assert points[1].result.cycles >= points[0].result.cycles
+        assert int(rows[1]["cycles"]) >= int(rows[0]["cycles"])
 
-    def test_table_and_csv_rendering(self):
-        sweep = self.make_sweep({"link_latency": [1, 6]})
-        sweep.run()
-        table = sweep.as_table()
+    def test_table_and_csv_rendering(self, capsys, tmp_path):
+        out, rows = sweep(capsys, tmp_path, "--grid", "link_latency=1,6")
+        table = out.split("runner:")[0]
         assert "link_latency" in table
         assert "cycles" in table
-        csv_text = sweep.as_csv()
-        lines = csv_text.strip().splitlines()
-        assert len(lines) == 3  # header + 2 points
-        assert lines[0].startswith("link_latency,")
+        assert len(rows) == 2
+        assert list(rows[0])[0] == "link_latency"
 
-    def test_best_point(self):
-        sweep = self.make_sweep({"link_latency": [6, 1]})
-        sweep.run()
-        assert sweep.best("cycles").overrides["link_latency"] == 1
-
-    def test_rendering_before_run_rejected(self):
-        sweep = self.make_sweep({"link_latency": [1]})
-        with pytest.raises(RuntimeError):
-            sweep.as_table()
+    def test_best_point(self, capsys, tmp_path):
+        out, _ = sweep(capsys, tmp_path, "--grid", "link_latency=6,1",
+                       "--best", "cycles")
+        assert "best cycles: {'link_latency': 1}" in out

@@ -25,19 +25,6 @@ def test_words_per_line():
     assert SystemConfig(line_size=64, word_size=8).words_per_line == 8
 
 
-def test_scaled_to_changes_only_processor_count():
-    base = SystemConfig(n_processors=8, link_latency=5)
-    scaled = base.scaled_to(64)
-    assert scaled.n_processors == 64
-    assert scaled.link_latency == 5
-    assert base.n_processors == 8  # frozen: original untouched
-
-
-def test_with_link_latency():
-    cfg = SystemConfig().with_link_latency(8)
-    assert cfg.link_latency == 8
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [

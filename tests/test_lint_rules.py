@@ -1,5 +1,5 @@
 """Tests for the repro lint framework: per-rule fixtures, suppressions,
-baselines, the CLI, and a self-run over the real tree.
+the CLI, and a self-run over the real tree.
 
 Fixture modules live under ``tests/fixtures/lint/``.  Single-module
 fixtures are loaded as ``fx.sim.mod`` next to a synthetic
@@ -16,7 +16,6 @@ import pytest
 
 from repro.cli import main
 from repro.lint import (
-    Baseline,
     classify_modules,
     lint_modules,
     load_source,
@@ -213,44 +212,6 @@ def test_suppression_for_other_rule_does_not_match():
     assert result.suppressed == []
 
 
-# -- baseline ------------------------------------------------------------
-
-
-def test_baseline_round_trip(tmp_path):
-    first = lint_fixture_file("det_global_rng_bad.py")
-    assert first.findings
-    baseline_path = tmp_path / "lint-baseline.json"
-    Baseline.from_findings(first.findings).save(str(baseline_path))
-
-    loaded = Baseline.load(str(baseline_path))
-    modules = {
-        "fx.core.system": load_source("import fx.sim.mod\n",
-                                      name="fx.core.system"),
-        "fx.sim.mod": load_source(
-            (FIXTURES / "det_global_rng_bad.py").read_text(),
-            name="fx.sim.mod"),
-    }
-    second = lint_modules(modules, baseline=loaded)
-    assert second.ok
-    assert len(second.baselined) == len(first.findings)
-
-
-def test_baseline_ignores_line_drift(tmp_path):
-    first = lint_fixture_file("det_global_rng_bad.py")
-    baseline_path = tmp_path / "lint-baseline.json"
-    Baseline.from_findings(first.findings).save(str(baseline_path))
-    # Prepend lines: same violation, different line number.
-    drifted = "X = 1\nY = 2\n" + (FIXTURES / "det_global_rng_bad.py").read_text()
-    modules = {
-        "fx.core.system": load_source("import fx.sim.mod\n",
-                                      name="fx.core.system"),
-        "fx.sim.mod": load_source(drifted, name="fx.sim.mod"),
-    }
-    result = lint_modules(modules, baseline=Baseline.load(str(baseline_path)))
-    assert result.ok
-    assert len(result.baselined) == len(first.findings)
-
-
 # -- self-run: the repo's own tree must be clean -------------------------
 
 
@@ -310,15 +271,3 @@ def test_cli_lint_json_format(tmp_path, capsys):
     assert report["findings"][0]["rule"] == "det-global-rng"
     assert report["findings"][0]["path"].endswith("sim/engine.py")
     assert report["findings"][0]["line"] == 2
-
-
-def test_cli_lint_baseline_flow(tmp_path, capsys):
-    pkg = _write_violating_tree(tmp_path)
-    baseline = tmp_path / "lint-baseline.json"
-    assert main(["lint", "--root", str(pkg),
-                 "--write-baseline", str(baseline)]) == 0
-    capsys.readouterr()
-    code = main(["lint", "--root", str(pkg), "--baseline", str(baseline)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "1 baselined" in out

@@ -7,7 +7,8 @@ import os
 import pytest
 
 from repro import ScalableTCCSystem, SystemConfig
-from repro.analysis.sweep import Sweep
+from repro.analysis import run_points
+from repro.cli import main
 from repro.conform import make_case, run_conform, run_conform_case
 from repro.runner import (
     JobSpec,
@@ -304,36 +305,35 @@ class TestSummaryParity:
 
 
 class TestSweepRunner:
-    def make_sweep(self, grid, **kwargs):
-        return Sweep(
-            SystemConfig(n_processors=2, ordered_network=True),
-            grid,
-            ("app", {"name": "barnes", "scale": 0.05}),
-            max_cycles=500_000_000,
-            **kwargs,
-        )
+    def run_sweep(self, **kwargs):
+        """A link-latency grid of two points: fingerprints and stats."""
+        points = {
+            lat: ("barnes", SystemConfig(n_processors=2, ordered_network=True,
+                                         link_latency=lat))
+            for lat in (1, 6)
+        }
+        results, stats = run_points(points, scale=0.05, **kwargs)
+        return {lat: r.fingerprint() for lat, r in results.items()}, stats
 
-    def test_unknown_grid_key_rejected_with_suggestion(self):
-        with pytest.raises(ValueError, match="granlarity.*granularity"):
-            self.make_sweep({"granlarity": ["word"]})
+    def test_unknown_grid_key_rejected_with_suggestion(self, capsys):
+        code = main(["sweep", "barnes", "--grid", "granlarity=word"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert ("sweep override 'granlarity' is not a SystemConfig field "
+                "(did you mean 'granularity'?)") in err
 
     def test_serial_vs_parallel_sweep_identical(self):
-        serial = self.make_sweep({"link_latency": [1, 6]})
-        serial.run(jobs=1)
-        parallel = self.make_sweep({"link_latency": [1, 6]})
-        parallel.run(jobs=4)
-        assert serial.fingerprints() == parallel.fingerprints()
-        assert parallel.last_run_stats.jobs == 4
+        serial, _ = self.run_sweep(jobs=1)
+        parallel, stats = self.run_sweep(jobs=4)
+        assert serial == parallel
+        assert stats.jobs == 4
 
     def test_cached_sweep_equivalent(self, tmp_path):
         cache = ResultCache(root=str(tmp_path))
-        cold = self.make_sweep({"link_latency": [1, 6]})
-        cold.run(jobs=1, cache=cache)
-        warm = self.make_sweep({"link_latency": [1, 6]})
-        warm.run(jobs=1, cache=cache)
-        assert warm.last_run_stats.from_cache == 2
-        assert cold.fingerprints() == warm.fingerprints()
-        assert warm.best("cycles").overrides == {"link_latency": 1}
+        cold, _ = self.run_sweep(cache=cache)
+        warm, stats = self.run_sweep(cache=cache)
+        assert stats.from_cache == 2
+        assert cold == warm
 
 
 

@@ -7,8 +7,7 @@ from repro.analysis import (
     format_breakdown_figure,
     format_table,
     format_traffic_figure,
-    run_apps,
-    run_scaling,
+    run_points,
 )
 from repro.core.result import _percentile as percentile
 from repro.workloads import CounterWorkload, PrivateWorkload
@@ -120,12 +119,26 @@ class TestFormatting:
 
 class TestExperimentDrivers:
     def test_run_app_small(self):
-        results = run_apps(["barnes"], SystemConfig(n_processors=2), scale=0.05)
+        results, stats = run_points(
+            {"barnes": ("barnes", SystemConfig(n_processors=2))}, scale=0.05
+        )
         assert list(results) == ["barnes"]
         assert results["barnes"].committed_transactions > 0
+        assert stats.total == stats.executed == 1
 
     def test_run_scaling_returns_per_count(self):
-        results = run_scaling("barnes", [1, 2], scale=0.05)
-        assert set(results) == {1, 2}
+        results, _ = run_points(
+            {n: ("barnes", SystemConfig(n_processors=n)) for n in (2, 1)},
+            scale=0.05,
+        )
+        assert list(results) == [2, 1]  # keyed and ordered like the input
         assert results[1].n_processors == 1
         assert results[2].n_processors == 2
+
+    def test_failing_point_raises_naming_its_key(self):
+        config = SystemConfig(n_processors=2)
+        points = {("barnes", 2): ("barnes", config),
+                  ("doom", 2): ("doom", config)}
+        with pytest.raises(RuntimeError,
+                           match=r"point \('doom', 2\).*unknown application"):
+            run_points(points, scale=0.05)

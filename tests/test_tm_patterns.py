@@ -1,11 +1,8 @@
 """Tests for the TM data-structure workload pack."""
 
-import pytest
-
 from repro import ScalableTCCSystem, SystemConfig
 from repro.workloads.tm_patterns import (
     ListSetWorkload,
-    MatrixTileWorkload,
     QueueWorkload,
 )
 
@@ -64,34 +61,3 @@ class TestQueue:
 
     def test_validates(self):
         QueueWorkload().validate(4)
-
-
-class TestMatrixTiles:
-    def test_runs_and_verifies(self):
-        wl = MatrixTileWorkload(steps=2)
-        system, result = run(wl)
-        assert result.committed_transactions == 8 * 2
-
-    def test_halo_reads_create_sharing_but_no_conflicts(self):
-        wl = MatrixTileWorkload(steps=3)
-        system, result = run(wl)
-        # Neighbour halo lines acquire remote sharers...
-        working = sum(result.directory_working_sets)
-        assert working > 0
-        # ...and the commits invalidate the halo readers next step, yet
-        # nobody ever violates: readers re-read after the barrier.
-        invs = sum(s.invalidations_sent for s in result.directory_stats)
-        assert invs > 0
-
-    def test_final_tiles_hold_last_step(self):
-        steps = 3
-        wl = MatrixTileWorkload(steps=steps, lines_per_tile=4)
-        system, result = run(wl, n=4)
-        for proc in range(4):
-            for line in range(4):
-                addr = wl.tile_addr(proc, line)
-                value = result.memory_image[addr // 32][0]
-                assert value == (steps - 1) * 100 + line
-
-    def test_validates(self):
-        MatrixTileWorkload().validate(4)
