@@ -289,6 +289,12 @@ def cmd_lint(args) -> int:
 
 _CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(SystemConfig))
 
+#: The metric columns of a sweep row, after its grid axes.
+_SWEEP_METRICS = (
+    "cycles", "commits", "violations", "useful_frac", "commit_frac",
+    "violation_frac", "bytes_per_instr",
+)
+
 
 def _sweep_row(overrides: Dict[str, Any],
                result: ResultSummary) -> Dict[str, Any]:
@@ -323,6 +329,12 @@ def cmd_sweep(args) -> int:
             raise ValueError(
                 f"sweep override {key!r} is not a SystemConfig field{suggestion}"
             )
+    columns = (*grid, *_SWEEP_METRICS)
+    if args.best is not None and args.best not in columns:
+        raise ValueError(
+            f"sweep --best {args.best!r} is not a column; "
+            f"choose one of {', '.join(columns)}"
+        )
     config = _config_from(args)
     combos = {
         values: dict(zip(grid, values))
@@ -336,7 +348,7 @@ def cmd_sweep(args) -> int:
     )
     rows = [_sweep_row(combos[values], result)
             for values, result in results.items()]
-    headers = list(rows[0])
+    headers = list(columns)
     print(format_table(headers, [[str(row[h]) for h in headers] for row in rows]))
     print(stats.describe())
     if args.best:

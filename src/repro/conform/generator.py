@@ -262,7 +262,6 @@ def make_case(seed: int, faults: bool = False,
         # Small programs: tighten the watchdog so a genuine wedge is
         # diagnosed in seconds, not simulated megacycles.
         overrides["watchdog_interval"] = 25_000
-        overrides["watchdog_stall_checks"] = 4
     return ConformCase(
         seed=seed, faults=faults, program=program,
         config_overrides=overrides, fault_plan=plan, source=source,

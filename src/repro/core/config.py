@@ -1,6 +1,7 @@
 """System configuration — Table 2 of the paper, as a dataclass.
 
-Defaults reproduce the paper's simulated machine:
+The defaults, with the fixed costs :class:`SystemConfig` names, reproduce
+the paper's simulated machine:
 
     CPU          single-issue PowerPC-like cores, CPI = 1.0
     L1           32 KB, 32-byte lines, 4-way, 1-cycle latency
@@ -24,11 +25,18 @@ class SystemConfig:
     """All architecture knobs for one simulated machine.
 
     What the paper fixes is not a knob: pages are placed first-touch in
-    4 KB pages (:data:`repro.memory.address.PAGE_SIZE`), the router,
-    local-delivery and link-bandwidth costs are constants of
-    :mod:`repro.network.interconnect`, the TID vendor sits at node 0
-    (:data:`repro.core.tid.VENDOR_NODE`), and the hardened protocol and
-    the progress watchdog are on exactly when ``fault_plan`` is set.
+    4 KB pages (:data:`repro.memory.address.PAGE_SIZE`); the L1 and L2
+    geometry and hit latencies are ``L1_SIZE``, ``L1_WAYS``,
+    ``L1_LATENCY``, ``L2_SIZE``, ``L2_WAYS`` and ``L2_LATENCY`` of
+    :mod:`repro.memory.hierarchy`; the directory's occupancy and the
+    main-memory access are ``DIRECTORY_LATENCY`` and ``MEMORY_LATENCY``
+    of :mod:`repro.directory.controller`; the router, local-delivery and
+    link-bandwidth costs are constants of
+    :mod:`repro.network.interconnect`; the TID vendor sits at node 0
+    (:data:`repro.core.tid.VENDOR_NODE`); the watchdog gives up after
+    :data:`repro.faults.watchdog.STALL_CHECKS` flat samples; and the
+    hardened protocol and the progress watchdog are on exactly when
+    ``fault_plan`` is set.
     """
 
     n_processors: int = 8
@@ -36,14 +44,6 @@ class SystemConfig:
     # Memory geometry
     line_size: int = 32
     word_size: int = 4
-
-    # Private cache hierarchy
-    l1_size: int = 32 * 1024
-    l1_ways: int = 4
-    l1_latency: int = 1
-    l2_size: int = 512 * 1024
-    l2_ways: int = 8
-    l2_latency: int = 6
 
     # Speculative-state tracking granularity: "word" or "line"
     granularity: str = "word"
@@ -53,9 +53,7 @@ class SystemConfig:
     ordered_network: bool = False
     network_jitter: int = 2
 
-    # Directory and memory
-    directory_latency: int = 10
-    memory_latency: int = 100
+    # Directory
     #: Capacity of the directory cache in entries (None = ideal/infinite).
     #: A message touching a line whose directory state is not cached pays
     #: an extra memory access to fetch it (Table 2's "directory cache").
@@ -88,10 +86,9 @@ class SystemConfig:
     #: the faults subsystem).  Setting one also turns on the hardened
     #: protocol and the progress watchdog (:attr:`protocol_hardened`).
     fault_plan: Optional[FaultPlan] = None
-    #: The watchdog raises WatchdogStall after ``watchdog_stall_checks``
+    #: The watchdog raises WatchdogStall after ``STALL_CHECKS``
     #: consecutive ``watchdog_interval``-cycle windows without a commit.
     watchdog_interval: int = 50_000
-    watchdog_stall_checks: int = 4
 
     # Reproducibility
     seed: int = 0
@@ -105,8 +102,7 @@ class SystemConfig:
             raise ValueError(
                 f"commit_backend must be 'scalable' or 'token', got {self.commit_backend!r}"
             )
-        for name in ("line_size", "word_size", "l1_size", "l1_ways",
-                     "l2_size", "l2_ways"):
+        for name in ("line_size", "word_size"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
@@ -116,10 +112,7 @@ class SystemConfig:
             raise ValueError("retention threshold must be >= 1")
         if self.sharer_group_size < 1:
             raise ValueError("sharer group size must be >= 1")
-        for name in (
-            "l1_latency", "l2_latency", "link_latency", "directory_latency",
-            "memory_latency", "network_jitter",
-        ):
+        for name in ("link_latency", "network_jitter"):
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
@@ -137,11 +130,6 @@ class SystemConfig:
             raise ValueError(
                 f"watchdog_interval must be >= 1, got {self.watchdog_interval}"
             )
-        if self.watchdog_stall_checks < 1:
-            raise ValueError(
-                f"watchdog_stall_checks must be >= 1, "
-                f"got {self.watchdog_stall_checks}"
-            )
 
     @property
     def protocol_hardened(self) -> bool:
@@ -155,17 +143,20 @@ class SystemConfig:
 
     def describe(self) -> str:
         """Human-readable Table 2-style summary."""
+        from repro.directory.controller import DIRECTORY_LATENCY, MEMORY_LATENCY
+        from repro.memory import hierarchy as h
+
         lines = [
             f"CPU          {self.n_processors} single-issue cores (CPI=1.0)",
-            f"L1           {self.l1_size // 1024}-KB, {self.line_size}-byte lines, "
-            f"{self.l1_ways}-way, {self.l1_latency}-cycle",
-            f"L2           {self.l2_size // 1024}-KB, {self.line_size}-byte lines, "
-            f"{self.l2_ways}-way, {self.l2_latency}-cycle",
+            f"L1           {h.L1_SIZE // 1024}-KB, {self.line_size}-byte lines, "
+            f"{h.L1_WAYS}-way, {h.L1_LATENCY}-cycle",
+            f"L2           {h.L2_SIZE // 1024}-KB, {self.line_size}-byte lines, "
+            f"{h.L2_WAYS}-way, {h.L2_LATENCY}-cycle",
             f"ICN          2D grid, {self.link_latency} cycles/link"
             + ("" if not self.ordered_network else " (ordered)"),
-            f"Main memory  {self.memory_latency} cycles",
+            f"Main memory  {MEMORY_LATENCY} cycles",
             "Directory    full-bit-vector sharers, first-touch allocate, "
-            f"{self.directory_latency}-cycle directory cache",
+            f"{DIRECTORY_LATENCY}-cycle directory cache",
             f"Tracking     {self.granularity}-granularity speculative state",
             f"Commit       {self.commit_backend}"
             + (", write-through" if self.write_through_commit else ", write-back"),

@@ -126,15 +126,7 @@ class ScalableTCCSystem:
                 node, self.engine, self.network, memory, self.amap, config
             )
             hierarchy = PrivateHierarchy(
-                self.amap,
-                l1_size=config.l1_size,
-                l1_ways=config.l1_ways,
-                l1_latency=config.l1_latency,
-                l2_size=config.l2_size,
-                l2_ways=config.l2_ways,
-                l2_latency=config.l2_latency,
-                granularity=config.granularity,
-                name=f"cpu{node}",
+                self.amap, granularity=config.granularity, name=f"cpu{node}"
             )
             processor = TCCProcessor(
                 node,

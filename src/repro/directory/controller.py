@@ -2,10 +2,10 @@
 
 One controller per node, serving the node's slice of physical memory.
 All protocol messages for the slice funnel through a single FIFO
-occupancy server (modelling directory-cache occupancy, 10 cycles per
-message); memory reads for load fills are overlapped — the controller
-snapshots state and schedules the reply ``memory_latency`` cycles later
-without blocking.
+occupancy server (modelling directory-cache occupancy,
+:data:`DIRECTORY_LATENCY` cycles per message); memory reads for load
+fills are overlapped — the controller snapshots state and schedules the
+reply :data:`MEMORY_LATENCY` cycles later without blocking.
 
 Responsibilities (Sections 2.2 and 3 of the paper):
 
@@ -58,6 +58,12 @@ from repro.memory.cache import TagLRU
 from repro.memory.mainmem import MainMemory
 from repro.network.interconnect import Interconnect
 from repro.sim import Engine
+
+#: Table 2's directory and memory costs (fixed by the paper, not knobs):
+#: cycles one message holds the controller, and cycles of one main-memory
+#: access (a load fill, or a directory-cache miss).
+DIRECTORY_LATENCY = 10
+MEMORY_LATENCY = 100
 
 
 class ProtocolError(RuntimeError):
@@ -130,7 +136,6 @@ class DirectoryController:
         # Occupancy server: messages waiting behind the one in service.
         self._queue: deque = deque()
         self._idle = True
-        self._latency = config.directory_latency
         self._service = 0  # cycles the message in service occupies
         self._pending_probes: List[ProbeRequest] = []
         self._stalled_loads: Dict[int, List[LoadRequest]] = defaultdict(list)
@@ -197,13 +202,12 @@ class DirectoryController:
     # occupancy server
     # ------------------------------------------------------------------
     #
-    # One message at a time holds the controller for ``directory_latency``
+    # One message at a time holds the controller for ``DIRECTORY_LATENCY``
     # cycles plus any directory-cache penalty; the rest wait FIFO.  Each
     # message costs one engine event, its service timer: service starts
     # in the callback that delivers a message to an idle controller, and
     # at service end the handler runs and the next queued message starts
-    # in the same callback.  A message whose service takes no cycles is
-    # handled on the spot, in a loop rather than by recursion.
+    # in the same callback.
 
     def _serve(self) -> None:
         """Bind the dispatch table: message type -> handler.
@@ -224,54 +228,37 @@ class DirectoryController:
         }
 
     def _start(self, msg: Any) -> None:
-        """Serve ``msg``, then each queued message whose service takes no
-        cycles, until one holds the controller or the queue is empty."""
-        while msg is not None:
-            injector = self.fault_injector
-            if injector is not None and injector.has_dir_stalls:
-                pause = injector.dir_stall_pause(self.node, self.engine.now)
-                if pause:
-                    # Node fault: the controller goes dark until the
-                    # window ends; queued messages wait it out.
-                    self.engine.schedule_call(pause, self._after_stall, msg)
-                    return
-            msg = self._occupy(msg)
+        """Start serving ``msg``, after any dark window of a ``dir_stall``
+        node fault (queued messages wait it out)."""
+        injector = self.fault_injector
+        if injector is not None and injector.has_dir_stalls:
+            pause = injector.dir_stall_pause(self.node, self.engine.now)
+            if pause:
+                self.engine.schedule_call(pause, self._occupy, msg)
+                return
+        self._occupy(msg)
 
-    def _after_stall(self, msg: Any) -> None:
-        msg = self._occupy(msg)
-        if msg is not None:
-            self._start(msg)
-
-    def _occupy(self, msg: Any) -> Optional[Any]:
+    def _occupy(self, msg: Any) -> None:
         """Hold the controller for ``msg``'s service time (dir-cache
-        penalty decided now) and return None; a message that takes no
-        cycles is handled at once, returning the next queued one."""
-        service = self._latency
+        penalty decided now)."""
+        service = DIRECTORY_LATENCY
         if self._dir_cache is not None:
             service += self._dir_cache_penalty(msg)
-        if not service:
-            return self._dispatch(msg)
         self._service = service
         self.engine.schedule_call(service, self._finish, msg)
-        return None
 
     def _finish(self, msg: Any) -> None:
+        """Service ends: run ``msg``'s handler, then start the next
+        queued message or go idle."""
         self.stats.busy_cycles += self._service
-        msg = self._dispatch(msg)
-        if msg is not None:
-            self._start(msg)
-
-    def _dispatch(self, msg: Any) -> Optional[Any]:
-        """Run ``msg``'s handler; return the next queued message, or
-        None after marking the controller idle."""
         handler = self._handlers.get(type(msg))
         if handler is None:
             raise ProtocolError(f"directory {self.node} got unknown message {msg!r}")
         handler(msg)
         if self._queue:
-            return self._queue.popleft()
-        self._idle = True
-        return None
+            self._start(self._queue.popleft())
+        else:
+            self._idle = True
 
     def _dir_cache_penalty(self, msg: Any) -> int:
         """Extra cycles to fetch uncached directory entries from memory.
@@ -293,7 +280,7 @@ class DirectoryController:
             return 0
         if missed:
             self.stats.dir_cache_misses += 1
-            return self.config.memory_latency
+            return MEMORY_LATENCY
         self.stats.dir_cache_hits += 1
         return 0
 
@@ -350,7 +337,7 @@ class DirectoryController:
         self._send(
             msg.requester,
             LoadReply(msg.line, data, msg.seq),
-            extra_delay=self.config.memory_latency,
+            extra_delay=MEMORY_LATENCY,
         )
 
     def _handle_writeback(self, msg: WriteBackMsg) -> None:
@@ -820,21 +807,33 @@ class DirectoryController:
     # end-of-run checks
     # ------------------------------------------------------------------
 
+    def in_flight(self) -> Dict[str, Any]:
+        """Protocol state still in flight: the active commit's TID (None
+        when no commit is being applied) and the size of each queue that
+        waits on one."""
+        active = self._active_commit
+        return {
+            "active_commit_tid": active.tid if active else None,
+            "pending_probes": len(self._pending_probes),
+            "stalled_loads": sum(len(v) for v in self._stalled_loads.values()),
+            "pending_forwards": sum(
+                len(v) for v in self._pending_forwards.values()),
+            "awaiting_words": sum(len(v) for v in self._awaiting.values()),
+        }
+
     def quiescent_check(self) -> None:
         """Raise if protocol state is still in flight (hang diagnosis)."""
+        flight = self.in_flight()
         problems = []
-        if self._active_commit is not None:
-            problems.append(f"active commit {self._active_commit.tid}")
-        if self._pending_probes:
-            problems.append(f"{len(self._pending_probes)} pending probes")
-        stalled = sum(len(v) for v in self._stalled_loads.values())
-        if stalled:
-            problems.append(f"{stalled} stalled loads")
-        forwards = sum(len(v) for v in self._pending_forwards.values())
-        if forwards:
-            problems.append(f"{forwards} pending forwards")
-        awaiting = sum(len(v) for v in self._awaiting.values())
-        if awaiting:
-            problems.append(f"{awaiting} committed words not yet home")
+        if flight["active_commit_tid"] is not None:
+            problems.append(f"active commit {flight['active_commit_tid']}")
+        for key, what in (
+            ("pending_probes", "pending probes"),
+            ("stalled_loads", "stalled loads"),
+            ("pending_forwards", "pending forwards"),
+            ("awaiting_words", "committed words not yet home"),
+        ):
+            if flight[key]:
+                problems.append(f"{flight[key]} {what}")
         if problems:
             raise ProtocolError(f"dir {self.node} not quiescent: {', '.join(problems)}")

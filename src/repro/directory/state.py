@@ -79,7 +79,7 @@ class DirectoryState:
         self._entries: Dict[int, DirectoryEntry] = {}
         # tid -> {line: entry}: which entries a TID has marked.  The hot
         # commit/abort paths read it via marked_for() instead of scanning
-        # every entry; marked_lines() keeps the authoritative full scan.
+        # every entry.
         self._mark_index: Dict[int, Dict[int, DirectoryEntry]] = {}
 
     def entry(self, line: int) -> DirectoryEntry:
@@ -98,10 +98,6 @@ class DirectoryState:
     def entries(self):
         return self._entries.values()
 
-    def marked_lines(self, tid: int):
-        """Lines currently marked by ``tid``."""
-        return [e for e in self._entries.values() if e.marked and e.marked_by == tid]
-
     def mark_line(self, line: int, tid: int, word_mask: int) -> DirectoryEntry:
         """Mark through the index — equivalent to ``entry(line).mark(...)``
         but queryable via :meth:`marked_for` without a full scan."""
@@ -114,7 +110,7 @@ class DirectoryState:
         return entry
 
     def marked_for(self, tid: int):
-        """Indexed :meth:`marked_lines`, in the same (creation) order.
+        """Entries currently marked by ``tid``, in creation order.
 
         Only sees marks placed via :meth:`mark_line`; entries unmarked or
         re-marked by another TID since are filtered (and pruned) here.

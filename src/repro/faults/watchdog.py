@@ -5,8 +5,8 @@ off: with retry timers in play the event queue never drains, so a
 wedged protocol spins forever instead of hitting the old
 ``SimulationTimeout`` deadlock diagnosis.  The watchdog samples global
 progress (machine-wide committed transactions) every
-``watchdog_interval`` cycles; after ``watchdog_stall_checks``
-consecutive flat samples while work remains it raises
+``watchdog_interval`` cycles; after :data:`STALL_CHECKS` consecutive
+flat samples while work remains it raises
 :class:`WatchdogStall` carrying a structured snapshot of every
 processor, directory, and the TID vendor — turning a hang into a
 diagnosis.
@@ -27,6 +27,10 @@ from typing import Any, Dict, Set
 #: Consecutive aborts of one transaction before the watchdog reports a
 #: livelock episode (diagnostic only; TID retention is the cure).
 LIVELOCK_ABORT_THRESHOLD = 64
+
+#: Consecutive commit-free ``watchdog_interval`` windows, while work
+#: remains, before the watchdog raises :class:`WatchdogStall`.
+STALL_CHECKS = 4
 
 
 class WatchdogStall(RuntimeError):
@@ -53,24 +57,11 @@ def _snapshot(system: Any) -> Dict[str, Any]:
             "committed": proc.stats.committed_transactions,
             "violations": proc.stats.violations,
         })
-    directories = []
-    for directory in system.directories:
-        active = directory._active_commit
-        directories.append({
-            "node": directory.node,
-            "nstid": directory.nstid,
-            "active_commit_tid": active.tid if active else None,
-            "pending_probes": len(directory._pending_probes),
-            "stalled_loads": sum(
-                len(v) for v in directory._stalled_loads.values()
-            ),
-            "pending_forwards": sum(
-                len(v) for v in directory._pending_forwards.values()
-            ),
-            "awaiting_words": sum(
-                len(v) for v in directory._awaiting.values()
-            ),
-        })
+    directories = [
+        {"node": directory.node, "nstid": directory.nstid,
+         **directory.in_flight()}
+        for directory in system.directories
+    ]
     report: Dict[str, Any] = {
         "cycle": system.engine.now,
         "processors": processors,
@@ -134,7 +125,6 @@ class ProgressWatchdog:
         self.system = system
         self.stats = stats
         self.interval = config.watchdog_interval
-        self.stall_checks = config.watchdog_stall_checks
         self._last_commits = -1
         self._flat_ticks = 0
         self._livelocked: Set[int] = set()
@@ -156,7 +146,7 @@ class ProgressWatchdog:
             self._flat_ticks = 0
         else:
             self._flat_ticks += 1
-            if self._flat_ticks >= self.stall_checks:
+            if self._flat_ticks >= STALL_CHECKS:
                 report = _snapshot(system)
                 if self.event_log is not None:
                     self.event_log.log(

@@ -198,28 +198,27 @@ class SpeculativeCache:
 
     # -- accesses -------------------------------------------------------
 
-    def read(self, line: int, word: int, speculative: bool = True) -> Optional[int]:
-        """Read a word; None on a line miss *or* an invalid word.
-
-        Sets SR when speculative and the read hits.
+    def read(self, line: int, word: int) -> Optional[int]:
+        """Speculatively read a word; None on a line miss *or* an invalid
+        word.  Sets SR when the read hits.
         """
         entry = self.lookup(line)
         if entry is None or not entry.valid_mask & (1 << word):
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        if speculative:
-            if not (entry.sr_mask | entry.sm_mask):
-                self._spec[line] = entry
-                self._spec_sorted = None
-            entry.sr_mask |= self._mask_for(word)
+        if not (entry.sr_mask | entry.sm_mask):
+            self._spec[line] = entry
+            self._spec_sorted = None
+        entry.sr_mask |= self._mask_for(word)
         return entry.data[word]
 
-    def write(self, line: int, word: int, value: int, speculative: bool = True) -> bool:
-        """Write a word; returns False on miss (caller must allocate first).
+    def write(self, line: int, word: int, value: int) -> bool:
+        """Speculatively write a word; returns False on miss (caller must
+        allocate first).
 
-        Speculative writes set SM; non-speculative writes set dirty.  The
-        written word becomes valid.  The caller is responsible for the
+        The write sets SM, and the written word becomes valid; commit
+        turns SM data dirty.  The caller is responsible for the
         write-back-before-first-speculative-write rule (see
         :class:`~repro.memory.hierarchy.PrivateHierarchy`).
         """
@@ -230,16 +229,13 @@ class SpeculativeCache:
         self.stats.hits += 1
         entry.data[word] = value
         entry.valid_mask |= 1 << word
-        if speculative:
-            if not (entry.sr_mask | entry.sm_mask):
-                self._spec[line] = entry
-                self._spec_sorted = None
-            entry.sm_mask |= self._mask_for(word)
-        else:
-            entry.dirty = True
+        if not (entry.sr_mask | entry.sm_mask):
+            self._spec[line] = entry
+            self._spec_sorted = None
+        entry.sm_mask |= self._mask_for(word)
         return True
 
-    def fill(self, line: int, data: List[int], dirty: bool = False) -> Optional[CacheLine]:
+    def fill(self, line: int, data: List[int]) -> Optional[CacheLine]:
         """Install a line, evicting if needed; returns the evicted line if any.
 
         When the line is already resident (a partial-line refetch), the
@@ -259,7 +255,6 @@ class SpeculativeCache:
                 if not existing.valid_mask & (1 << word):
                     existing.data[word] = data[word]
             existing.valid_mask = full
-            existing.dirty = existing.dirty or dirty
             existing.last_use = self._tick()
             return None
         victim = None
@@ -267,8 +262,7 @@ class SpeculativeCache:
             victim = self._evict_from(bucket)
         tick = self._tick()
         bucket[line] = CacheLine(
-            line, list(data), valid_mask=full, dirty=dirty,
-            last_use=tick, insert_seq=tick,
+            line, list(data), valid_mask=full, last_use=tick, insert_seq=tick,
         )
         return victim
 

@@ -28,6 +28,15 @@ HIT_L2 = "l2"
 MISS = "miss"
 FLUSH_FIRST = "flush_first"
 
+#: Table 2's private caches (fixed by the paper, not knobs): a 32 KB
+#: 4-way L1 hit in 1 cycle and a 512 KB 8-way L2 hit in 6.
+L1_SIZE = 32 * 1024
+L1_WAYS = 4
+L1_LATENCY = 1
+L2_SIZE = 512 * 1024
+L2_WAYS = 8
+L2_LATENCY = 6
+
 
 @dataclass
 class AccessResult:
@@ -48,48 +57,40 @@ class PrivateHierarchy:
     """L1 timing filter over an authoritative speculative L2."""
 
     def __init__(
-        self,
-        amap: AddressMap,
-        l1_size: int = 32 * 1024,
-        l1_ways: int = 4,
-        l1_latency: int = 1,
-        l2_size: int = 512 * 1024,
-        l2_ways: int = 8,
-        l2_latency: int = 6,
-        granularity: str = "word",
-        name: str = "hier",
+        self, amap: AddressMap, granularity: str = "word", name: str = "hier"
     ) -> None:
         self.amap = amap
-        self.l1_latency = l1_latency
-        self.l2_latency = l2_latency
-        self.l1 = TagLRU(l1_ways, l1_size // amap.line_size // l1_ways)
-        self.l2 = SpeculativeCache(amap, l2_size, l2_ways, granularity, name=f"{name}.l2")
+        self.l1 = TagLRU(L1_WAYS, L1_SIZE // amap.line_size // L1_WAYS)
+        self.l2 = SpeculativeCache(amap, L2_SIZE, L2_WAYS, granularity, name=f"{name}.l2")
         self.granularity = granularity
 
     # -- timing helper ---------------------------------------------------
 
-    def _latency(self, line: int) -> int:
+    def _hit(self, line: int, value: int) -> AccessResult:
+        """A hit in the backing cache: L1 cost if the filter holds the
+        line, L2 cost otherwise."""
         if self.l1.access(line):
-            return self.l1_latency
-        return self.l2_latency
+            return AccessResult(HIT_L1, cycles=L1_LATENCY, value=value)
+        return AccessResult(HIT_L2, cycles=L2_LATENCY, value=value)
 
     # -- accesses ---------------------------------------------------------
 
-    def load(self, line: int, word: int, speculative: bool = True) -> AccessResult:
-        value = self.l2.read(line, word, speculative=speculative)
+    def load(self, line: int, word: int) -> AccessResult:
+        """A speculative read: sets SR on a hit."""
+        value = self.l2.read(line, word)
         if value is None:
             self.l1.invalidate(line)
             return AccessResult(MISS)
-        cycles = self._latency(line)
-        outcome = HIT_L1 if cycles == self.l1_latency else HIT_L2
-        return AccessResult(outcome, cycles=cycles, value=value)
+        return self._hit(line, value)
 
-    def store(self, line: int, word: int, value: int, speculative: bool = True) -> AccessResult:
+    def store(self, line: int, word: int, value: int) -> AccessResult:
+        """A speculative write: sets SM on a hit, unless the line's
+        committed data must be flushed home first."""
         entry = self.l2.lookup(line)
         if entry is None:
             self.l1.invalidate(line)
             return AccessResult(MISS)
-        if speculative and entry.dirty and not entry.sm_mask:
+        if entry.dirty and not entry.sm_mask:
             # Paper rule: committed (dirty) data must reach home memory
             # before the first speculative overwrite in a new transaction.
             return AccessResult(
@@ -97,14 +98,12 @@ class PrivateHierarchy:
                 flush_line=line,
                 flush_words=entry.valid_words(),
             )
-        self.l2.write(line, word, value, speculative=speculative)
-        cycles = self._latency(line)
-        outcome = HIT_L1 if cycles == self.l1_latency else HIT_L2
-        return AccessResult(outcome, cycles=cycles, value=value)
+        self.l2.write(line, word, value)
+        return self._hit(line, value)
 
-    def fill(self, line: int, data: List[int], dirty: bool = False) -> List[CacheLine]:
+    def fill(self, line: int, data: List[int]) -> List[CacheLine]:
         """Install a remotely fetched line; returns dirty lines forced out."""
-        victim = self.l2.fill(line, data, dirty=dirty)
+        victim = self.l2.fill(line, data)
         self.l1.access(line)
         if victim is None:
             return []

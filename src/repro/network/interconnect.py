@@ -6,11 +6,13 @@ destination node's handler receives the message itself.
 
 Delivery time for a message from ``src`` to ``dst``:
 
-    egress wait (per-node bandwidth serialization, optional)
+    egress wait (per-node bandwidth serialization)
   + hops(src, dst) * link_latency          (Table 2 / Figure 8 knob)
-  + router overhead (fixed)
-  + serialization  (total_bytes / link_bytes_per_cycle, optional)
+  + router overhead (ROUTER_LATENCY)
+  + serialization  (ceil(total_bytes / LINK_BYTES_PER_CYCLE))
   + jitter          (deterministic pseudo-random, unordered networks only)
+
+A message to its own node takes ``LOCAL_LATENCY`` after its egress wait.
 
 The network is *unordered* by default, as in the paper ("additional
 mechanisms are required to accommodate ... its distributed memory and
@@ -52,6 +54,12 @@ ROUTER_LATENCY = 1
 LOCAL_LATENCY = 1
 LINK_BYTES_PER_CYCLE = 16
 
+
+def _flits(total_bytes: int) -> int:
+    """Cycles to serialize a ``total_bytes`` packet onto a link."""
+    return (total_bytes + LINK_BYTES_PER_CYCLE - 1) // LINK_BYTES_PER_CYCLE
+
+
 class TrafficStats:
     """Byte counters by class and by receiving node (Figure 9's inputs).
 
@@ -90,9 +98,6 @@ class Interconnect:
         engine: Engine,
         n_nodes: int,
         link_latency: int = 3,
-        router_latency: int = ROUTER_LATENCY,
-        local_latency: int = LOCAL_LATENCY,
-        link_bytes_per_cycle: Optional[int] = LINK_BYTES_PER_CYCLE,
         ordered: bool = False,
         jitter: int = 2,
         seed: int = 0,
@@ -101,9 +106,6 @@ class Interconnect:
         self.n_nodes = n_nodes
         self.topology = MeshTopology(n_nodes)
         self.link_latency = link_latency
-        self.router_latency = router_latency
-        self.local_latency = local_latency
-        self.link_bytes_per_cycle = link_bytes_per_cycle
         self.ordered = ordered
         self.jitter = jitter if not ordered else 0
         self._rng = Random(seed)
@@ -139,17 +141,8 @@ class Interconnect:
         """Pure wire time, excluding egress queueing and jitter."""
         hops = self.topology.hops(src, dst)
         if hops == 0:
-            return self.local_latency
-        return hops * self.link_latency + self._wire_cycles(total_bytes)
-
-    def _wire_cycles(self, total_bytes: int) -> int:
-        """Router overhead plus serialization of a ``total_bytes`` packet:
-        the hop-independent part of a remote packet's wire time."""
-        cycles = self.router_latency
-        bandwidth = self.link_bytes_per_cycle
-        if bandwidth:
-            cycles += (total_bytes + bandwidth - 1) // bandwidth
-        return cycles
+            return LOCAL_LATENCY
+        return hops * self.link_latency + ROUTER_LATENCY + _flits(total_bytes)
 
     # -- sending ----------------------------------------------------------
 
@@ -192,19 +185,15 @@ class Interconnect:
         row = self._hops[src]
         payload_bytes = msg.payload_bytes
         total_bytes = payload_bytes + HEADER_BYTES
-        bandwidth = self.link_bytes_per_cycle
-        wire = self._wire_cycles(total_bytes)
+        flits = _flits(total_bytes)
+        # Wire time past the links: router overhead plus serialization.
+        wire = ROUTER_LATENCY + flits
         # Egress serialization: a node injects one packet at a time.
-        if bandwidth:
-            free_at = self._egress_free_at[src]
-            if free_at < now:
-                free_at = now
-            self._egress_free_at[src] = (
-                free_at + (total_bytes + bandwidth - 1) // bandwidth
-            )
-            egress = free_at - now
-        else:
-            egress = 0
+        free_at = self._egress_free_at[src]
+        if free_at < now:
+            free_at = now
+        self._egress_free_at[src] = free_at + flits
+        egress = free_at - now
         link_latency = self.link_latency
         jitter = self.jitter
         getrandbits = self._getrandbits
@@ -218,7 +207,7 @@ class Interconnect:
             stats.packets += 1
             hops = row[dst]
             if hops == 0:
-                delay = egress + self.local_latency
+                delay = egress + LOCAL_LATENCY
             else:
                 delay = egress + hops * link_latency + wire
             if jitter:

@@ -85,8 +85,25 @@ def test_sweep(capsys, tmp_path):
     assert "best cycles: {'link_latency': " in out
     assert f"csv written to {csv_path}" in out
     lines = csv_path.read_text().strip().splitlines()
-    assert lines[0].startswith("link_latency,cycles,")
+    assert lines[0] == ("link_latency,cycles,commits,violations,useful_frac,"
+                        "commit_frac,violation_frac,bytes_per_instr")
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "3"]
+
+
+def test_sweep_rejects_unknown_best_column_before_running(capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr("repro.cli.run_points", must_not_run)
+    code = main([
+        "sweep", "barnes", "-n", "2", "--scale", "0.05",
+        "--grid", "link_latency=1,3", "--best", "nosuch", "--no-cache",
+    ])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert "'nosuch' is not a column" in err
+    assert "link_latency, cycles, commits," in err
 
 
 def test_traffic(capsys):

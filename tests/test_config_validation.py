@@ -14,20 +14,20 @@ from repro.faults import FaultPlan, PacketFault
 @pytest.mark.parametrize("kwargs", [
     dict(n_processors=0),
     dict(n_processors=-4),
-    dict(l1_latency=-1),
-    dict(l2_latency=-1),
+    dict(granularity="byte"),
+    dict(commit_backend="bus"),
     dict(link_latency=-1),
-    dict(directory_latency=-1),
-    dict(memory_latency=-1),
+    dict(line_size=-32),
+    dict(word_size=-4),
     dict(network_jitter=-1),
     dict(line_size=0),
     dict(word_size=0),
-    dict(l1_size=0),
-    dict(l1_ways=0),
-    dict(l2_size=0),
-    dict(l2_ways=0),
+    dict(line_size=30),
+    dict(retention_threshold=0),
+    dict(sharer_group_size=0),
+    dict(watchdog_interval=-1),
     dict(watchdog_interval=0),
-    dict(watchdog_stall_checks=0),
+    dict(sharer_group_size=-2),
     dict(fault_plan="lots of drops please"),
     dict(fault_plan=FaultPlan(), commit_backend="token"),
 ])

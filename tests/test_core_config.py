@@ -3,16 +3,20 @@
 import pytest
 
 from repro.core import ScalableTCCSystem, SystemConfig
+from repro.directory.controller import DIRECTORY_LATENCY, MEMORY_LATENCY
 from repro.memory import FirstTouchMapping
+from repro.memory import hierarchy
 
 
 def test_defaults_match_table2():
     cfg = SystemConfig()
     assert cfg.line_size == 32
-    assert cfg.l1_size == 32 * 1024 and cfg.l1_ways == 4 and cfg.l1_latency == 1
-    assert cfg.l2_size == 512 * 1024 and cfg.l2_ways == 8 and cfg.l2_latency == 6
-    assert cfg.memory_latency == 100
-    assert cfg.directory_latency == 10
+    assert hierarchy.L1_SIZE == 32 * 1024 and hierarchy.L1_WAYS == 4
+    assert hierarchy.L1_LATENCY == 1
+    assert hierarchy.L2_SIZE == 512 * 1024 and hierarchy.L2_WAYS == 8
+    assert hierarchy.L2_LATENCY == 6
+    assert MEMORY_LATENCY == 100
+    assert DIRECTORY_LATENCY == 10
     assert cfg.link_latency == 3
     assert isinstance(ScalableTCCSystem(cfg).mapping, FirstTouchMapping)
     assert cfg.commit_backend == "scalable"

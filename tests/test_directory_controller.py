@@ -12,7 +12,9 @@ import pytest
 
 from repro.core import messages as m
 from repro.core.config import SystemConfig
-from repro.directory.controller import DirectoryController, ProtocolError
+from repro.directory.controller import (
+    DIRECTORY_LATENCY, MEMORY_LATENCY, DirectoryController, ProtocolError,
+)
 from repro.faults import FaultPlan, NodeFault
 from repro.faults.injector import FaultInjector
 from repro.memory import AddressMap, MainMemory
@@ -27,9 +29,7 @@ class Rig:
         self.config = SystemConfig(**config_kwargs)
         self.engine = Engine()
         self.amap = AddressMap(self.config.line_size, self.config.word_size)
-        self.network = Interconnect(
-            self.engine, 4, ordered=True, link_bytes_per_cycle=None
-        )
+        self.network = Interconnect(self.engine, 4, ordered=True)
         self.memory = MainMemory(self.amap)
         self.dir = DirectoryController(
             0, self.engine, self.network, self.memory, self.amap, self.config
@@ -70,7 +70,7 @@ def test_load_reply_delayed_by_memory_latency(rig):
     rig.send(1, m.LoadRequest(requester=1, line=7, seq=1))
     rig.run()
     # directory latency (10) + memory latency (100) must both be paid
-    assert rig.engine.now >= rig.config.memory_latency + rig.config.directory_latency
+    assert rig.engine.now >= MEMORY_LATENCY + DIRECTORY_LATENCY
 
 
 def test_skip_advances_nstid(rig):
@@ -339,12 +339,25 @@ def test_quiescent_check_passes_when_clean(rig):
     rig.dir.quiescent_check()
 
 
+def test_in_flight_counts_waiting_state(rig):
+    idle = {"active_commit_tid": None, "pending_probes": 0,
+            "stalled_loads": 0, "pending_forwards": 0, "awaiting_words": 0}
+    assert rig.dir.in_flight() == idle
+    rig.dir.deliver(m.ProbeRequest(requester=1, tid=9, writing=False))
+    rig.dir.deliver(m.MarkMsg(committer=1, tid=1, lines={5: 0b1}))
+    rig.dir.deliver(m.LoadRequest(requester=2, line=5, seq=7))
+    rig.run()
+    assert rig.dir.in_flight() == dict(idle, pending_probes=1, stalled_loads=1)
+    with pytest.raises(ProtocolError, match="1 pending probes, 1 stalled loads"):
+        rig.dir.quiescent_check()
+
+
 # ----------------------------------------------------------------------
-# occupancy server: one message at a time, directory_latency each
+# occupancy server: one message at a time, DIRECTORY_LATENCY each
 # ----------------------------------------------------------------------
 
 def test_same_cycle_messages_served_fifo_latency_apart(rig):
-    latency = rig.config.directory_latency
+    latency = DIRECTORY_LATENCY
     for tid in (1, 2, 3):
         rig.dir.deliver(m.SkipMsg(tid=tid))
     for served in (1, 2, 3):
@@ -362,7 +375,7 @@ def test_dir_stall_window_holds_queued_messages():
     rig = Rig()
     plan = FaultPlan(node_faults=(NodeFault("dir_stall", 0, 0, 50),))
     rig.dir.fault_injector = FaultInjector(plan, 4)
-    latency = rig.config.directory_latency
+    latency = DIRECTORY_LATENCY
     rig.dir.deliver(m.SkipMsg(tid=1))
     rig.dir.deliver(m.SkipMsg(tid=2))
     rig.engine.run(until=50 + latency - 1)
@@ -377,7 +390,7 @@ def test_dir_stall_window_holds_queued_messages():
 
 
 def test_released_stalled_load_pays_occupancy_again(rig):
-    latency = rig.config.directory_latency
+    latency = DIRECTORY_LATENCY
     rig.dir.deliver(m.MarkMsg(committer=1, tid=1, lines={5: 0b1}))
     rig.dir.deliver(m.LoadRequest(requester=2, line=5, seq=7))
     rig.dir.deliver(m.AbortMsg(committer=1, tid=1))
@@ -393,7 +406,7 @@ def test_released_stalled_load_pays_occupancy_again(rig):
 
 
 def test_one_engine_event_per_message(rig):
-    latency = rig.config.directory_latency
+    latency = DIRECTORY_LATENCY
     for tid in range(1, 6):
         rig.dir.deliver(m.SkipMsg(tid=tid))
     rig.run()
@@ -402,22 +415,6 @@ def test_one_engine_event_per_message(rig):
     assert rig.engine.events_executed == 5
     assert rig.engine.now == 5 * latency
     assert rig.dir.nstid == 6
-
-
-def test_zero_latency_queue_served_fifo_without_recursion():
-    rig = Rig(directory_latency=0)
-    # A dark window at cycle 0 lets a long queue build behind the first
-    # message; when it ends, every message takes no cycles.
-    plan = FaultPlan(node_faults=(NodeFault("dir_stall", 0, 0, 50),))
-    rig.dir.fault_injector = FaultInjector(plan, 4)
-    n = 2000
-    for seq in range(n):
-        rig.dir.deliver(m.LoadRequest(requester=1, line=seq, seq=seq))
-    rig.run()
-    replies = rig.of_type(1, m.LoadReply)
-    assert [reply.seq for reply in replies] == list(range(n))
-    assert rig.dir.stats.loads_served == n
-    assert rig.dir.stats.busy_cycles == 0
 
 
 # ----------------------------------------------------------------------

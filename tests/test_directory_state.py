@@ -69,11 +69,11 @@ def test_state_creates_entries_on_demand():
 
 def test_marked_lines_filters_by_tid():
     state = DirectoryState()
-    state.entry(1).mark(5, 1)
-    state.entry(2).mark(5, 1)
-    state.entry(3).mark(6, 1)
-    assert sorted(e.line for e in state.marked_lines(5)) == [1, 2]
-    assert [e.line for e in state.marked_lines(6)] == [3]
+    state.mark_line(1, 5, 1)
+    state.mark_line(2, 5, 1)
+    state.mark_line(3, 6, 1)
+    assert [e.line for e in state.marked_for(5)] == [1, 2]
+    assert [e.line for e in state.marked_for(6)] == [3]
 
 
 def test_working_set_counts_remote_entries_only():

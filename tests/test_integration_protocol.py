@@ -9,10 +9,13 @@ ownership, filtering).
 import pytest
 
 from repro import ScalableTCCSystem, SystemConfig, Transaction
+from repro.memory.hierarchy import L2_SIZE, L2_WAYS
 from repro.workloads.base import BARRIER, Workload
 
 LINE = 32
 PAGE = 4096
+#: Lines ``i * L2_SET_STRIDE`` all map to set 0 of the private L2.
+L2_SET_STRIDE = L2_SIZE // LINE // L2_WAYS
 
 
 class ScriptedWorkload(Workload):
@@ -237,16 +240,15 @@ def test_store_then_load_same_word_in_tx_sees_own_write():
 
 
 def test_eviction_of_dirty_line_writes_back():
-    """Force dirty evictions with a tiny cache and confirm the data is
-    still correct at the end."""
+    """Force dirty evictions by committing to more lines of one L2 set
+    than it has ways, and confirm the data is still correct at the end."""
     txs = []
     for i in range(16):
-        txs.append(Transaction(i, [("c", 5), ("st", i * LINE, i + 1)]))
-    system, result = run_scripted(
-        [txs], l1_size=2 * LINE, l1_ways=1, l2_size=8 * LINE, l2_ways=1
-    )
+        txs.append(Transaction(i, [("c", 5), ("st", i * L2_SET_STRIDE * LINE, i + 1)]))
+    system, result = run_scripted([txs])
+    assert system.processors[0].hierarchy.stats.dirty_evictions == 16 - L2_WAYS
     for i in range(16):
-        assert result.memory_image[i][0] == i + 1
+        assert result.memory_image[i * L2_SET_STRIDE][0] == i + 1
 
 
 def test_speculative_overflow_handled_not_crashed():
@@ -255,15 +257,13 @@ def test_speculative_overflow_handled_not_crashed():
     the overflow."""
     ops = [("c", 1)]
     for i in range(32):
-        ops.append(("st", i * LINE, i))
+        ops.append(("st", i * L2_SET_STRIDE * LINE, i))
     tx = Transaction(1, ops)
-    system, result = run_scripted(
-        [[tx]], l1_size=2 * LINE, l1_ways=1, l2_size=4 * LINE, l2_ways=2
-    )
+    system, result = run_scripted([[tx]])
     assert result.committed_transactions == 1
     assert system.processors[0].hierarchy.stats.speculative_overflows > 0
     for i in range(32):
-        assert result.memory_image[i][0] == i
+        assert result.memory_image[i * L2_SET_STRIDE][0] == i
 
 
 def test_unordered_network_load_inv_race_resolved_by_retry():

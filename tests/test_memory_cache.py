@@ -52,13 +52,6 @@ def test_speculative_read_sets_sr_bit(amap):
     assert cache.lookup(3).sr_mask == 1 << 5
 
 
-def test_nonspeculative_read_leaves_sr_clear(amap):
-    cache = small_cache(amap)
-    cache.fill(3, [0] * 8)
-    cache.read(3, 5, speculative=False)
-    assert cache.lookup(3).sr_mask == 0
-
-
 def test_speculative_write_sets_sm_not_dirty(amap):
     cache = small_cache(amap)
     cache.fill(3, [0] * 8)
@@ -67,15 +60,6 @@ def test_speculative_write_sets_sm_not_dirty(amap):
     assert entry.sm_mask == 1 << 1
     assert not entry.dirty
     assert entry.data[1] == 99
-
-
-def test_nonspeculative_write_sets_dirty(amap):
-    cache = small_cache(amap)
-    cache.fill(3, [0] * 8)
-    cache.write(3, 1, 99, speculative=False)
-    entry = cache.lookup(3)
-    assert entry.dirty
-    assert entry.sm_mask == 0
 
 
 def test_write_miss_returns_false(amap):
@@ -107,7 +91,8 @@ def test_lru_eviction_of_clean_line(amap):
 def test_dirty_eviction_reports_data(amap):
     cache = small_cache(amap, ways=1, sets=1)
     cache.fill(0, [5] * 8)
-    cache.write(0, 0, 42, speculative=False)
+    cache.write(0, 0, 42)
+    cache.commit_speculative()
     victim = cache.fill(1, [0] * 8)
     assert victim.dirty
     assert victim.data[0] == 42
@@ -133,17 +118,17 @@ def test_refill_keeps_locally_valid_words(amap):
     # All words valid locally: a refill must not clobber them (they may be
     # dirtier/newer than memory's copy).
     assert cache.fill(0, [2] * 8) is None
-    assert cache.read(0, 0, speculative=False) == 1
+    assert cache.read(0, 0) == 1
 
 
 def test_refill_fills_only_invalid_words(amap):
     cache = small_cache(amap)
     cache.fill(0, [1] * 8)
     cache.invalidate_words(0, 0b0000_0110)  # words 1 and 2 invalid
-    assert cache.read(0, 1, speculative=False) is None
+    assert cache.read(0, 1) is None
     cache.fill(0, [2] * 8)
-    assert cache.read(0, 1, speculative=False) == 2
-    assert cache.read(0, 0, speculative=False) == 1
+    assert cache.read(0, 1) == 2
+    assert cache.read(0, 0) == 1
 
 
 def test_invalidate_words_drops_fully_invalid_line(amap):
@@ -223,7 +208,10 @@ def test_invalidate_removes_line(amap):
 
 def test_clear_dirty(amap):
     cache = small_cache(amap)
-    cache.fill(0, [0] * 8, dirty=True)
+    cache.fill(0, [0] * 8)
+    cache.write(0, 0, 1)
+    cache.commit_speculative()
+    assert cache.lookup(0).dirty
     cache.clear_dirty(0)
     assert not cache.lookup(0).dirty
 

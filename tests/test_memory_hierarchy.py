@@ -3,7 +3,15 @@
 import pytest
 
 from repro.memory import AddressMap, PrivateHierarchy
-from repro.memory.hierarchy import FLUSH_FIRST, HIT_L1, HIT_L2, MISS
+from repro.memory.hierarchy import (
+    FLUSH_FIRST, HIT_L1, HIT_L2, L1_LATENCY, L1_SIZE, L1_WAYS, L2_LATENCY,
+    L2_SIZE, L2_WAYS, MISS,
+)
+
+LINE = 32
+#: Lines that share set 0 of the L1 filter, and of the L2.
+L1_SET_STRIDE = L1_SIZE // LINE // L1_WAYS
+L2_SET_STRIDE = L2_SIZE // LINE // L2_WAYS
 
 
 @pytest.fixture
@@ -13,7 +21,16 @@ def amap():
 
 @pytest.fixture
 def hier(amap):
-    return PrivateHierarchy(amap, l1_size=4 * 32, l1_ways=2, l2_size=64 * 32, l2_ways=4)
+    return PrivateHierarchy(amap)
+
+
+def make_dirty(hier, line, value):
+    """Give ``hier`` a dirty copy of ``line``: a committed speculative
+    write of ``value`` to every word."""
+    hier.fill(line, [0] * 8)
+    for word in range(8):
+        hier.store(line, word, value)
+    hier.commit_speculative()
 
 
 def test_cold_load_misses(hier):
@@ -27,17 +44,19 @@ def test_fill_then_load_costs_l2_then_l1(hier):
     # fill installs the L1 tag, so the first load is an L1 hit
     first = hier.load(0, 0)
     assert first.outcome == HIT_L1
-    assert first.cycles == 1
+    assert first.cycles == L1_LATENCY == 1
     assert first.value == 5
 
 
 def test_l1_capacity_miss_falls_to_l2(hier):
-    # L1 filter: 4 lines, 2 ways, 2 sets. Lines 0,2,4 map to set 0.
-    for line in (0, 2, 4):
+    # L1 filter: 32 KB, 4 ways, 256 sets.  Five lines of set 0 evict the
+    # first from the filter; the 8-way L2 still holds it.
+    lines = [i * L1_SET_STRIDE for i in range(L1_WAYS + 1)]
+    for line in lines:
         hier.fill(line, [line] * 8)
-    result = hier.load(0, 0)  # line 0 evicted from the L1 filter by 4
+    result = hier.load(0, 0)
     assert result.outcome == HIT_L2
-    assert result.cycles == 6
+    assert result.cycles == L2_LATENCY == 6
     assert result.value == 0
 
 
@@ -54,7 +73,7 @@ def test_store_hit_sets_sm(hier):
 
 
 def test_first_speculative_write_to_dirty_line_needs_flush(hier):
-    hier.fill(0, [9] * 8, dirty=True)
+    make_dirty(hier, 0, 9)
     result = hier.store(0, 0, 1)
     assert result.outcome == FLUSH_FIRST
     assert result.flush_line == 0
@@ -67,27 +86,26 @@ def test_first_speculative_write_to_dirty_line_needs_flush(hier):
 
 
 def test_second_speculative_write_needs_no_flush(hier):
-    hier.fill(0, [9] * 8, dirty=True)
+    make_dirty(hier, 0, 9)
     hier.flushed(0)
     hier.store(0, 0, 1)
     assert hier.store(0, 1, 2).hit  # sm already set; no flush loop
 
 
-def test_nonspeculative_store_never_asks_for_flush(hier):
-    hier.fill(0, [9] * 8, dirty=True)
-    assert hier.store(0, 0, 1, speculative=False).hit
-    assert hier.peek(0).dirty
-
-
-def test_fill_reports_dirty_evictions_only(amap):
-    hier = PrivateHierarchy(amap, l1_size=32, l1_ways=1, l2_size=32, l2_ways=1)
-    hier.fill(0, [1] * 8, dirty=True)
-    notices = hier.fill(1, [2] * 8)  # same set, evicts dirty line 0
+def test_fill_reports_dirty_evictions_only(hier):
+    # L2: 512 KB, 8 ways, 2048 sets.  Line 0 is dirty and least recently
+    # used when the ninth line of set 0 arrives.
+    make_dirty(hier, 0, 1)
+    lines = [i * L2_SET_STRIDE for i in range(1, L2_WAYS + 2)]
+    for line in lines[:L2_WAYS - 1]:
+        assert hier.fill(line, [2] * 8) == []
+    notices = hier.fill(lines[L2_WAYS - 1], [2] * 8)  # evicts dirty line 0
     assert len(notices) == 1
     assert notices[0].line == 0
     assert notices[0].data == [1] * 8
-    notices = hier.fill(2, [3] * 8)  # evicts clean line 1: no notice
+    notices = hier.fill(lines[L2_WAYS], [3] * 8)  # evicts a clean line: no notice
     assert notices == []
+    assert hier.peek(lines[0]) is None
 
 
 def test_invalidate_returns_state_and_clears_both_levels(hier):
@@ -99,7 +117,7 @@ def test_invalidate_returns_state_and_clears_both_levels(hier):
 
 
 def test_extract_for_writeback(hier):
-    hier.fill(0, [4] * 8, dirty=True)
+    make_dirty(hier, 0, 4)
     data = hier.extract_for_writeback(0)
     assert data == {w: 4 for w in range(8)}
     assert hier.peek(0) is None

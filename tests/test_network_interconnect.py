@@ -3,6 +3,9 @@
 import pytest
 
 from repro.network import CLASS_COMMIT, CLASS_MISS, Interconnect
+from repro.network.interconnect import (
+    LINK_BYTES_PER_CYCLE, LOCAL_LATENCY, ROUTER_LATENCY,
+)
 from repro.network.message import HEADER_BYTES
 from repro.sim import Engine
 
@@ -21,7 +24,6 @@ class Msg:
 def make_net(n=4, **kwargs):
     engine = Engine()
     kwargs.setdefault("ordered", True)
-    kwargs.setdefault("link_bytes_per_cycle", None)
     net = Interconnect(engine, n, **kwargs)
     return engine, net
 
@@ -38,21 +40,22 @@ def test_delivery_invokes_registered_handler():
 
 
 def test_latency_scales_with_hops():
-    engine, net = make_net(16, link_latency=5, router_latency=0)
-    # 4x4 mesh: 0 -> 15 is 6 hops
+    engine, net = make_net(16, link_latency=5)
+    # 4x4 mesh: 0 -> 15 is 6 hops; an 8-byte packet is one flit
     t_far = net.transit_cycles(0, 15, 8)
     t_near = net.transit_cycles(0, 1, 8)
-    assert t_far == 30
-    assert t_near == 5
+    assert t_far == 6 * 5 + ROUTER_LATENCY + 1
+    assert t_near == 5 + ROUTER_LATENCY + 1
 
 
 def test_local_delivery_uses_local_latency():
-    engine, net = make_net(4, local_latency=2)
-    assert net.transit_cycles(2, 2, 100) == 2
+    engine, net = make_net(4)
+    assert net.transit_cycles(2, 2, 100) == LOCAL_LATENCY
 
 
 def test_serialization_adds_size_cycles():
-    engine, net = make_net(4, link_bytes_per_cycle=16, link_latency=3, router_latency=1)
+    assert LINK_BYTES_PER_CYCLE == 16
+    engine, net = make_net(4, link_latency=3)
     small = net.transit_cycles(0, 1, 16)
     large = net.transit_cycles(0, 1, 64)
     assert large == small + 3  # 4 flits vs 1 flit
@@ -129,8 +132,7 @@ def test_ordered_network_preserves_fifo_between_pair():
 
 def test_unordered_network_can_reorder():
     engine = Engine()
-    net = Interconnect(engine, 4, ordered=False, jitter=5, seed=7,
-                       link_bytes_per_cycle=None)
+    net = Interconnect(engine, 4, ordered=False, jitter=5, seed=7)
     order = []
     net.register(1, lambda msg: order.append(msg.tag))
     for i in range(50):
@@ -148,13 +150,12 @@ def test_jitter_disabled_when_ordered():
 
 def test_egress_bandwidth_serializes_departures():
     engine = Engine()
-    net = Interconnect(engine, 4, ordered=True, link_bytes_per_cycle=8,
-                       link_latency=1, router_latency=0)
+    net = Interconnect(engine, 4, ordered=True, link_latency=1)
     times = []
     net.register(1, lambda msg: times.append(engine.now))
-    # Three 56-byte payloads (64B total = 8 inject cycles each) back to back.
+    # Three 120-byte payloads (128B total = 8 inject cycles each) back to back.
     for _ in range(3):
-        net.send(0, 1, Msg(None, 56, CLASS_MISS))
+        net.send(0, 1, Msg(None, 128 - HEADER_BYTES, CLASS_MISS))
     engine.run()
     assert times[1] - times[0] == 8
     assert times[2] - times[1] == 8
@@ -162,8 +163,7 @@ def test_egress_bandwidth_serializes_departures():
 
 def _delivery_order(seed=7, sends=50):
     engine = Engine()
-    net = Interconnect(engine, 4, ordered=False, jitter=5, seed=seed,
-                       link_bytes_per_cycle=None)
+    net = Interconnect(engine, 4, ordered=False, jitter=5, seed=seed)
     order = []
     net.register(1, lambda msg: order.append(msg.tag))
     for i in range(sends):
@@ -188,8 +188,7 @@ def test_rng_is_instance_owned_not_global():
 
 def test_ordered_mode_bypasses_jitter_draws():
     engine = Engine()
-    net = Interconnect(engine, 4, ordered=True, jitter=10, seed=3,
-                       link_bytes_per_cycle=None)
+    net = Interconnect(engine, 4, ordered=True, jitter=10, seed=3)
     assert net.jitter == 0
     order = []
     net.register(1, lambda msg: order.append(msg.tag))
@@ -207,8 +206,7 @@ def test_jitter_draws_equal_randint_on_the_same_stream():
     for jitter in (1, 2, 5, 8):
         engine = Engine()
         net = Interconnect(engine, 4, ordered=False, jitter=jitter, seed=11,
-                           link_bytes_per_cycle=None, link_latency=3,
-                           router_latency=1)
+                           link_latency=3)
         arrivals = {}
         net.register(1, lambda msg: arrivals.setdefault(msg.tag, engine.now))
         for i in range(200):
@@ -216,8 +214,9 @@ def test_jitter_draws_equal_randint_on_the_same_stream():
         engine.run()
         base = net.transit_cycles(0, 1, 4 + HEADER_BYTES)
         stream = random.Random(11)
-        # Every message left at cycle 0, so its arrival cycle is its latency.
-        assert [arrivals[i] - base for i in range(200)] == [
+        # Every message was sent at cycle 0; each 12-byte packet is one
+        # flit, so message i waits i cycles for the egress port.
+        assert [arrivals[i] - i - base for i in range(200)] == [
             stream.randint(0, jitter) for _ in range(200)
         ]
 
@@ -227,8 +226,7 @@ def test_multicast_deliveries_and_bytes_match_the_wire_model():
 
     src, dsts = 5, [3, 9, 0, 5, 15, 9]
     engine = Engine()
-    net = Interconnect(engine, 16, ordered=False, jitter=3, seed=5,
-                       link_bytes_per_cycle=8)
+    net = Interconnect(engine, 16, ordered=False, jitter=3, seed=5)
     delivered = []
     for node in range(16):
         net.register(node, lambda msg, n=node: delivered.append(
@@ -242,7 +240,7 @@ def test_multicast_deliveries_and_bytes_match_the_wire_model():
     stream = random.Random(5)
     expected = [(net.transit_cycles(src, 1, before_bytes)
                  + stream.randint(0, 3), 1, "before")]
-    egress_wait = -(-before_bytes // 8)
+    egress_wait = -(-before_bytes // LINK_BYTES_PER_CYCLE)
     for i, dst in enumerate(dsts):
         wait = egress_wait if i == 0 else 0
         expected.append((wait + net.transit_cycles(src, dst, 4 + HEADER_BYTES)

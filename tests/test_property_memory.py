@@ -146,8 +146,7 @@ def test_speculative_lines_survive_capacity_pressure(lines):
     min_size=1, max_size=80,
 ))
 def test_hierarchy_read_your_writes(writes):
-    hier = PrivateHierarchy(AMAP, l1_size=4 * 32, l1_ways=2,
-                            l2_size=64 * 32, l2_ways=4)
+    hier = PrivateHierarchy(AMAP)
     latest = {}
     for line, word, value in writes:
         if hier.peek(line) is None:

@@ -26,7 +26,9 @@ def test_post_run_system_passes():
 def test_detects_sm_on_dirty_line():
     system = fresh_system()
     hier = system.processors[0].hierarchy
-    hier.fill(0, [0] * 8, dirty=True)
+    hier.fill(0, [0] * 8)
+    hier.store(0, 0, 1)
+    hier.commit_speculative()
     hier.l2.lookup(0).sm_mask = 1  # corrupt: dirty line with SM
     with pytest.raises(InvariantViolation, match="I3"):
         check_system_invariants(system, strict_sharers=False)

@@ -44,6 +44,12 @@ def test_unhardened_drops_become_a_diagnosed_stall():
     assert report["cycle"] >= 6_000
     assert len(report["processors"]) == 4
     assert any(not p["finished"] for p in report["processors"])
+    # The engine stopped at the raise: each directory's entry is its
+    # in-flight state as of the stall.
+    assert report["directories"] == [
+        {"node": d.node, "nstid": d.nstid, **d.in_flight()}
+        for d in system.directories
+    ]
     text = format_stall_report(report)
     assert "no commit progress" in text
     assert "cpu" in text
